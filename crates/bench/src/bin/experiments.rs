@@ -19,6 +19,9 @@
 //! cargo run --release -p msite-bench --bin experiments -- --json  # JSON dump
 //! ```
 //!
+//! An unknown experiment name exits with status 2 and lists the valid
+//! names.
+//!
 //! `fig7 --full` uses the paper's full one-minute windows (9 points × 3
 //! trials ≈ 27 minutes); the default uses scaled windows that converge to
 //! the same rates. `capacity` is the million-user multi-tenant session
@@ -96,6 +99,25 @@ impl ToJson for Timings {
     }
 }
 
+/// Every experiment name the CLI accepts, in run order; `all` (or no
+/// name) runs each of them.
+const EXPERIMENTS: [&str; 14] = [
+    "table1",
+    "fig6",
+    "fig7",
+    "burst",
+    "claims",
+    "throughput",
+    "telemetry",
+    "streaming",
+    "durability",
+    "capacity",
+    "hotpath",
+    "content",
+    "planning",
+    "workload",
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
@@ -105,7 +127,23 @@ fn main() -> ExitCode {
         .filter(|a| !a.starts_with("--"))
         .map(|a| a.as_str())
         .collect();
-    let want = |name: &str| which.is_empty() || which.contains(&name) || which.contains(&"all");
+    if let Some(unknown) = which
+        .iter()
+        .find(|name| **name != "all" && !EXPERIMENTS.contains(name))
+    {
+        eprintln!(
+            "unknown experiment `{unknown}`; valid names: all, {}",
+            EXPERIMENTS.join(", ")
+        );
+        return ExitCode::from(2);
+    }
+    let want = |name: &str| {
+        debug_assert!(
+            EXPERIMENTS.contains(&name),
+            "`{name}` missing from EXPERIMENTS"
+        );
+        which.is_empty() || which.contains(&name) || which.contains(&"all")
+    };
 
     // Shape assertions accumulate here; any failure turns into a
     // nonzero exit so CI catches regressions in the figures themselves.
@@ -612,7 +650,7 @@ fn main() -> ExitCode {
         }
         if !json {
             report::print_table(
-                "SWAR hot paths — fast vs scalar twins (identity-gated, see DESIGN.md §15)",
+                "Hot paths — fast vs scalar twins, one thread (identity-gated, see DESIGN.md §15)",
                 &["path", "speedup", "gate"],
                 &[
                     vec![
@@ -649,6 +687,16 @@ fn main() -> ExitCode {
                     vec![
                         "strip_tag batch classifier".into(),
                         format!("{:.2}x", result.strip_tag_speedup),
+                        "-".into(),
+                    ],
+                    vec![
+                        "snapshot downscale (1/2)".into(),
+                        format!("{:.2}x", result.downscale_speedup),
+                        "-".into(),
+                    ],
+                    vec![
+                        "snapshot quantize (LUT)".into(),
+                        format!("{:.2}x", result.quantize_speedup),
                         "-".into(),
                     ],
                 ],

@@ -13,15 +13,18 @@
 //!    than the per-bit reference.
 //!
 //! The remaining rows (Adler-32, full zlib, selector bloom prefilter,
-//! batch `strip_tag`) are reported without hard gates — they are
-//! workload-shaped and noisier, but the numbers land in
-//! `BENCH_PR10.json` so the trajectory stays visible across PRs.
+//! batch `strip_tag`, and the raster kernels `downscale_to_width` and
+//! `quantize` on the rendered forum snapshot) are reported without hard
+//! gates — they are workload-shaped and noisier, but the numbers land
+//! in `BENCH_PR10.json` so the trajectory stays visible across PRs.
+//! Every row is a single-threaded wall-clock ratio, scalar over fast.
 
 use crate::fixtures;
 use msite::pipeline::soa;
 use msite_html::tokenizer::Tokenizer;
 use msite_html::{entities, parse_document};
 use msite_net::{Origin, Request};
+use msite_render::browser::{Browser, BrowserConfig};
 use msite_render::png;
 use msite_selectors::SelectorList;
 use msite_support::json::{obj, ToJson, Value};
@@ -58,6 +61,12 @@ pub struct HotpathResult {
     pub selector_speedup: f64,
     /// Filter-stage `strip_tag` speedup from the batch classifier.
     pub strip_tag_speedup: f64,
+    /// `Canvas::downscale_to_width` speedup on the forum snapshot at the
+    /// forum spec's half scale (the exact-halving path).
+    pub downscale_speedup: f64,
+    /// `Canvas::quantize` lookup-table speedup on the forum snapshot at
+    /// quality 40's level count.
+    pub quantize_speedup: f64,
     /// The tokenizer gate this run was held to.
     pub tokenizer_gate: f64,
     /// The CRC gate this run was held to.
@@ -206,6 +215,38 @@ pub fn run(iterations: usize) -> HotpathResult {
     assert_eq!(sel_fast.1, sel_scalar.1, "selector twins diverged");
     assert_eq!(strip_fast.1, strip_scalar.1, "strip_tag twins diverged");
 
+    // Raster kernels on the rendered forum snapshot, as the snapshot
+    // post-processor runs them: half scale, then quality 40's 102
+    // levels. Each quantize twin re-quantizes its own copy in place;
+    // both run the same passes, so the copies must agree afterwards.
+    let snapshot = Browser::launch(BrowserConfig::default())
+        .render_page(&docs[0], &[])
+        .canvas;
+    let half = snapshot.width() / 2;
+    assert_eq!(
+        snapshot.downscale_to_width(half),
+        snapshot.downscale_to_width_scalar(half),
+        "downscale twins diverged"
+    );
+    let down_fast = best_of(iterations, || {
+        snapshot.downscale_to_width(half).pixels().len()
+    });
+    let down_scalar = best_of(iterations, || {
+        snapshot.downscale_to_width_scalar(half).pixels().len()
+    });
+    const SNAPSHOT_LEVELS: u16 = 102;
+    let mut quantized_fast = snapshot.clone();
+    let mut quantized_scalar = snapshot.clone();
+    let quant_fast = best_of(iterations, || {
+        quantized_fast.quantize(SNAPSHOT_LEVELS);
+        quantized_fast.pixels()[0] as usize
+    });
+    let quant_scalar = best_of(iterations, || {
+        quantized_scalar.quantize_scalar(SNAPSHOT_LEVELS);
+        quantized_scalar.pixels()[0] as usize
+    });
+    assert_eq!(quantized_fast, quantized_scalar, "quantize twins diverged");
+
     let mb = |bytes: usize, d: Duration| bytes as f64 / 1e6 / d.as_secs_f64().max(1e-12);
     HotpathResult {
         corpus_bytes,
@@ -218,6 +259,8 @@ pub fn run(iterations: usize) -> HotpathResult {
         zlib_speedup: speedup(zlib_scalar.0, zlib_fast.0),
         selector_speedup: speedup(sel_scalar.0, sel_fast.0),
         strip_tag_speedup: speedup(strip_scalar.0, strip_fast.0),
+        downscale_speedup: speedup(down_scalar.0, down_fast.0),
+        quantize_speedup: speedup(quant_scalar.0, quant_fast.0),
         tokenizer_gate: TOKENIZER_GATE,
         crc_gate: CRC_GATE,
     }
@@ -259,6 +302,8 @@ impl ToJson for HotpathResult {
             ("zlib_speedup", self.zlib_speedup.to_json_value()),
             ("selector_speedup", self.selector_speedup.to_json_value()),
             ("strip_tag_speedup", self.strip_tag_speedup.to_json_value()),
+            ("downscale_speedup", self.downscale_speedup.to_json_value()),
+            ("quantize_speedup", self.quantize_speedup.to_json_value()),
             ("tokenizer_gate", self.tokenizer_gate.to_json_value()),
             ("crc_gate", self.crc_gate.to_json_value()),
             ("within_gates", self.within_gates().to_json_value()),

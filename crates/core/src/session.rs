@@ -191,10 +191,10 @@ struct Slot {
 #[derive(Default)]
 struct ShardInner {
     slots: HashMap<String, Slot>,
-    /// LRU order: tick -> session id. Ticks are unique per shard, so
-    /// the oldest entry is `order.iter().next()`.
+    /// LRU order: tick -> session id. Ticks come from the store-wide
+    /// `SessionStore::clock`, so the oldest entry is
+    /// `order.iter().next()` and ticks compare across shards.
     order: BTreeMap<u64, String>,
-    clock: u64,
 }
 
 /// A session removed from a shard, to be finished (fs teardown, hooks,
@@ -212,6 +212,11 @@ pub type EvictHook = Arc<dyn Fn(&str) + Send + Sync>;
 /// for the design.
 pub struct SessionStore {
     shards: Vec<Mutex<ShardInner>>,
+    /// Store-wide LRU tick source. One clock for every shard keeps
+    /// ticks comparable when eviction picks the oldest slot across
+    /// shards; per-shard clocks would make a lagging shard's newest
+    /// sessions look oldest.
+    clock: AtomicU64,
     config: SessionStoreConfig,
     fs: Arc<SessionFs>,
     id_source: Mutex<Prng>,
@@ -238,6 +243,7 @@ impl SessionStore {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(ShardInner::default()))
                 .collect(),
+            clock: AtomicU64::new(0),
             id_source: Mutex::new(Prng::new(config.seed)),
             tenants: Mutex::new(HashMap::new()),
             live: AtomicI64::new(0),
@@ -291,6 +297,13 @@ impl SessionStore {
     pub fn advance_clock(&self, delta: Duration) {
         self.time_offset_micros
             .fetch_add(delta.as_micros() as u64, Ordering::Relaxed);
+    }
+
+    /// A fresh LRU tick, unique across the whole store. Relaxed: the
+    /// tick orders slots only and publishes no other data; it is taken
+    /// under the shard lock that stores it.
+    fn next_tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn shard_of(&self, id: &str) -> usize {
@@ -382,8 +395,7 @@ impl SessionStore {
         }));
         let expires_at = self.config.session_ttl.map(|ttl| self.now() + ttl);
         let mut shard = self.shards[self.shard_of(&id)].lock();
-        shard.clock += 1;
-        let tick = shard.clock;
+        let tick = self.next_tick();
         shard.order.insert(tick, id.clone());
         shard.slots.insert(
             id,
@@ -424,8 +436,7 @@ impl SessionStore {
                     tenant: slot.tenant,
                 }
             } else {
-                shard.clock += 1;
-                let tick = shard.clock;
+                let tick = self.next_tick();
                 shard.order.remove(&old_tick);
                 shard.order.insert(tick, id.to_string());
                 let slot = shard.slots.get_mut(id).expect("slot present");

@@ -301,3 +301,57 @@ fn expiry_sweep_agrees_with_counters() {
         );
     });
 }
+
+/// LRU order is store-wide: with several shards, eviction always takes
+/// the least recently created-or-touched session, so a create never
+/// evicts the session the previous create made. Per-shard tick clocks
+/// broke this: touches advance only their own shard's clock, so a
+/// lagging shard's newest sessions compared as the oldest.
+#[test]
+fn multi_shard_eviction_is_global_lru() {
+    prop::check("multi-shard LRU order", 20, 0x010C_C10C, |g| {
+        let max_sessions = g.range_usize(64, 300);
+        let (_fs, store) = store(SessionStoreConfig {
+            max_sessions,
+            session_ttl: None,
+            seed: g.u64(),
+            ..SessionStoreConfig::default()
+        });
+        assert!(store.shard_count() >= 2, "test needs several shards");
+        let evicted = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
+        let sink = Arc::clone(&evicted);
+        store.add_evict_hook(Arc::new(move |id: &str| {
+            sink.lock().expect("hook sink").push(id.to_string())
+        }));
+        // A returning user touches one hot session in bursts between
+        // creates, so its shard sees many more ticks than the others.
+        let hot = store.create("t").lock().id.clone();
+        // Model: live ids, least recently used first.
+        let mut lru: Vec<String> = vec![hot.clone()];
+        let mut previous: Option<String> = None;
+        for _ in 0..max_sessions * 3 {
+            let expected: Vec<String> = if lru.len() == max_sessions {
+                vec![lru.remove(0)]
+            } else {
+                Vec::new()
+            };
+            let id = store.create("t").lock().id.clone();
+            let victims = std::mem::take(&mut *evicted.lock().expect("hook sink"));
+            if let Some(previous) = &previous {
+                assert!(
+                    !victims.contains(previous),
+                    "create evicted the previous create's session"
+                );
+            }
+            assert_eq!(victims, expected, "eviction left LRU order");
+            lru.push(id.clone());
+            previous = Some(id);
+            for _ in 0..g.range_usize(1, 40) {
+                assert!(store.get(&hot, "t").is_some(), "hot session missed");
+            }
+            let at = lru.iter().position(|id| *id == hot).expect("hot is live");
+            lru.remove(at);
+            lru.push(hot.clone());
+        }
+    });
+}

@@ -31,14 +31,21 @@ impl Canvas {
     /// Panics if either dimension is zero or the buffer would exceed
     /// 512 MiB (runaway-layout guard).
     pub fn new(width: u32, height: u32, background: Color) -> Self {
-        assert!(width > 0 && height > 0, "canvas dimensions must be nonzero");
-        let bytes = width as u64 * height as u64 * 3;
-        assert!(
-            bytes <= 512 * 1024 * 1024,
-            "canvas too large: {bytes} bytes"
-        );
-        let mut pixels = Vec::with_capacity(bytes as usize);
-        for _ in 0..(width as u64 * height as u64) {
+        let pixel_count = Self::checked_pixel_count(width, height);
+        Canvas {
+            width,
+            height,
+            pixels: [background.r, background.g, background.b].repeat(pixel_count),
+        }
+    }
+
+    /// Per-pixel twin of [`Canvas::new`]: appends the background one
+    /// pixel at a time. Kept as the identity-test and bench oracle.
+    #[doc(hidden)]
+    pub fn new_scalar(width: u32, height: u32, background: Color) -> Self {
+        let pixel_count = Self::checked_pixel_count(width, height);
+        let mut pixels = Vec::with_capacity(pixel_count * 3);
+        for _ in 0..pixel_count {
             pixels.extend_from_slice(&[background.r, background.g, background.b]);
         }
         Canvas {
@@ -46,6 +53,18 @@ impl Canvas {
             height,
             pixels,
         }
+    }
+
+    /// The pixel count of a `width`×`height` canvas, enforcing the
+    /// nonzero-dimension and 512 MiB guards of [`Canvas::new`].
+    fn checked_pixel_count(width: u32, height: u32) -> usize {
+        assert!(width > 0 && height > 0, "canvas dimensions must be nonzero");
+        let bytes = width as u64 * height as u64 * 3;
+        assert!(
+            bytes <= 512 * 1024 * 1024,
+            "canvas too large: {bytes} bytes"
+        );
+        (width as u64 * height as u64) as usize
     }
 
     /// Canvas width in pixels.
@@ -166,11 +185,90 @@ impl Canvas {
 
     /// Box-filter downsample to a new width, preserving aspect ratio.
     /// A `new_width` of at least 1 is enforced.
+    ///
+    /// Each output pixel is the truncated mean of its source window.
+    /// Window bounds come from the same `f32` expressions as
+    /// [`Canvas::downscale_to_width_scalar`], evaluated once per column
+    /// and once per row, so both twins produce the same bytes. Each
+    /// output row first sums its source rows into per-column `u32`
+    /// totals, then sums each column window in `u64`. The `u32` totals
+    /// cannot overflow: a window is at most `min(height, factor + 2)`
+    /// rows tall with `factor <= width`, and the 512 MiB guard keeps
+    /// `width × height` under 179M, so no window exceeds 13,400 rows. A
+    /// window's area has no such bound (a wide canvas downscaled to
+    /// width 1), hence the `u64` window sums.
     pub fn downscale_to_width(&self, new_width: u32) -> Canvas {
         let new_width = new_width.clamp(1, self.width);
         let factor = self.width as f32 / new_width as f32;
         let new_height = ((self.height as f32 / factor).round() as u32).max(1);
-        let mut out = Canvas::new(new_width, new_height, Color::WHITE);
+        let window = |o: u32, limit: u32| {
+            let lo = (o as f32 * factor) as u32;
+            let hi = (((o + 1) as f32 * factor) as u32).clamp(lo + 1, limit);
+            (lo as usize, hi as usize)
+        };
+        let cols: Vec<(usize, usize)> = (0..new_width).map(|ox| window(ox, self.width)).collect();
+        // Exact halving: every column window is the pixel pair
+        // [2x, 2x + 2), so a two-row window has n = 4 and the mean is
+        // the plain integer `sum / 4`.
+        let halving = cols
+            .iter()
+            .enumerate()
+            .all(|(ox, &(lo, hi))| lo == 2 * ox && hi == lo + 2);
+        let stride = self.width as usize * 3;
+        let mut pixels = vec![0u8; new_width as usize * new_height as usize * 3];
+        let mut col_sums = vec![0u32; stride];
+        let mut pair_sums = vec![0u16; stride];
+        for (oy, out) in (0..new_height).zip(pixels.chunks_exact_mut(new_width as usize * 3)) {
+            let (sy0, sy1) = window(oy, self.height);
+            let rows = &self.pixels[sy0 * stride..sy1 * stride];
+            if halving && sy1 - sy0 == 2 {
+                let (top, bottom) = rows.split_at(stride);
+                for ((sum, &a), &b) in pair_sums.iter_mut().zip(top).zip(bottom) {
+                    *sum = a as u16 + b as u16;
+                }
+                for (o, p) in out.chunks_exact_mut(3).zip(pair_sums.chunks_exact(6)) {
+                    o[0] = ((p[0] + p[3]) / 4) as u8;
+                    o[1] = ((p[1] + p[4]) / 4) as u8;
+                    o[2] = ((p[2] + p[5]) / 4) as u8;
+                }
+                continue;
+            }
+            col_sums.fill(0);
+            for row in rows.chunks_exact(stride) {
+                for (sum, &byte) in col_sums.iter_mut().zip(row) {
+                    *sum += byte as u32;
+                }
+            }
+            let height = (sy1 - sy0) as u64;
+            for (o, &(sx0, sx1)) in out.chunks_exact_mut(3).zip(&cols) {
+                let mut acc = [0u64; 3];
+                for px in col_sums[sx0 * 3..sx1 * 3].chunks_exact(3) {
+                    acc[0] += px[0] as u64;
+                    acc[1] += px[1] as u64;
+                    acc[2] += px[2] as u64;
+                }
+                let n = height * (sx1 - sx0) as u64;
+                for c in 0..3 {
+                    o[c] = (acc[c] / n) as u8;
+                }
+            }
+        }
+        Canvas {
+            width: new_width,
+            height: new_height,
+            pixels,
+        }
+    }
+
+    /// Per-pixel twin of [`Canvas::downscale_to_width`]: recomputes the
+    /// window bounds for every output pixel and reads the source through
+    /// indexed loads. Kept as the identity-test and bench oracle.
+    #[doc(hidden)]
+    pub fn downscale_to_width_scalar(&self, new_width: u32) -> Canvas {
+        let new_width = new_width.clamp(1, self.width);
+        let factor = self.width as f32 / new_width as f32;
+        let new_height = ((self.height as f32 / factor).round() as u32).max(1);
+        let mut out = Canvas::new_scalar(new_width, new_height, Color::WHITE);
         for oy in 0..new_height {
             for ox in 0..new_width {
                 // Source window.
@@ -200,8 +298,27 @@ impl Canvas {
     }
 
     /// Quantizes every channel to `levels` distinct values (2..=256) —
-    /// the fidelity-reduction post-processor knob.
+    /// the fidelity-reduction post-processor knob. Each byte maps
+    /// through a 256-entry table built with the `f32` expression of
+    /// [`Canvas::quantize_scalar`].
     pub fn quantize(&mut self, levels: u16) {
+        let levels = levels.clamp(2, 256) as u32;
+        let step = 255.0 / (levels - 1) as f32;
+        let mut table = [0u8; 256];
+        for (value, slot) in table.iter_mut().enumerate() {
+            let level = (value as f32 / step).round();
+            *slot = (level * step).round().clamp(0.0, 255.0) as u8;
+        }
+        for byte in &mut self.pixels {
+            *byte = table[*byte as usize];
+        }
+    }
+
+    /// Per-byte twin of [`Canvas::quantize`]: evaluates the `f32`
+    /// rounding for every byte. Kept as the identity-test and bench
+    /// oracle.
+    #[doc(hidden)]
+    pub fn quantize_scalar(&mut self, levels: u16) {
         let levels = levels.clamp(2, 256) as u32;
         let step = 255.0 / (levels - 1) as f32;
         for byte in &mut self.pixels {
@@ -216,19 +333,43 @@ impl Canvas {
     ///
     /// Panics when the intersection is empty.
     pub fn crop(&self, rect: &Rect) -> Canvas {
-        let (x, y, w, h) = rect.to_pixels();
-        let x0 = x.max(0) as u32;
-        let y0 = y.max(0) as u32;
-        let x1 = ((x + w).max(0) as u32).min(self.width);
-        let y1 = ((y + h).max(0) as u32).min(self.height);
-        assert!(x1 > x0 && y1 > y0, "crop region empty");
-        let mut out = Canvas::new(x1 - x0, y1 - y0, Color::WHITE);
+        let (x0, y0, x1, y1) = self.crop_bounds(rect);
+        let stride = self.width as usize * 3;
+        let (start, end) = (x0 as usize * 3, x1 as usize * 3);
+        let mut pixels = Vec::with_capacity((end - start) * (y1 - y0) as usize);
+        for row in self.pixels[y0 as usize * stride..y1 as usize * stride].chunks_exact(stride) {
+            pixels.extend_from_slice(&row[start..end]);
+        }
+        Canvas {
+            width: x1 - x0,
+            height: y1 - y0,
+            pixels,
+        }
+    }
+
+    /// Per-pixel twin of [`Canvas::crop`], copying through `get`/`set`.
+    /// Kept as the identity-test oracle.
+    #[doc(hidden)]
+    pub fn crop_scalar(&self, rect: &Rect) -> Canvas {
+        let (x0, y0, x1, y1) = self.crop_bounds(rect);
+        let mut out = Canvas::new_scalar(x1 - x0, y1 - y0, Color::WHITE);
         for row in y0..y1 {
             for col in x0..x1 {
                 out.set((col - x0) as i32, (row - y0) as i32, self.get(col, row));
             }
         }
         out
+    }
+
+    /// `rect` clipped to the canvas as `(x0, y0, x1, y1)`, exclusive.
+    fn crop_bounds(&self, rect: &Rect) -> (u32, u32, u32, u32) {
+        let (x, y, w, h) = rect.to_pixels();
+        let x0 = x.max(0) as u32;
+        let y0 = y.max(0) as u32;
+        let x1 = ((x + w).max(0) as u32).min(self.width);
+        let y1 = ((y + h).max(0) as u32).min(self.height);
+        assert!(x1 > x0 && y1 > y0, "crop region empty");
+        (x0, y0, x1, y1)
     }
 
     /// Number of distinct colors present (post-quantization metric).

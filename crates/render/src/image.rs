@@ -15,6 +15,7 @@
 use crate::canvas::Canvas;
 use crate::geom::Rect;
 use crate::png;
+use std::borrow::Cow;
 
 /// Output format of the post-processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,17 +148,37 @@ pub fn process_tiered(canvas: &Canvas, caps: &FidelityCaps) -> ProcessedImage {
 /// assert_eq!(small.canvas.width(), 100);
 /// ```
 pub fn process(canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
+    run(canvas, spec, false)
+}
+
+/// Twin of [`process`] that runs the per-pixel `*_scalar` canvas
+/// kernels. Kept as the identity-test and bench oracle.
+#[doc(hidden)]
+pub fn process_scalar(canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
+    run(canvas, spec, true)
+}
+
+/// The post-processor; `scalar` selects the per-pixel canvas kernels.
+fn run(canvas: &Canvas, spec: &PostProcess, scalar: bool) -> ProcessedImage {
+    // Borrow the source until a step produces a new canvas; only a run
+    // with neither crop nor downscale pays for a copy.
     let mut work = match &spec.crop {
-        Some(rect) => canvas.crop(rect),
-        None => canvas.clone(),
+        Some(rect) if scalar => Cow::Owned(canvas.crop_scalar(rect)),
+        Some(rect) => Cow::Owned(canvas.crop(rect)),
+        None => Cow::Borrowed(canvas),
     };
     if let Some(scale) = spec.scale {
         let scale = scale.clamp(0.01, 1.0);
         let new_width = ((work.width() as f32 * scale).round() as u32).max(1);
         if new_width < work.width() {
-            work = work.downscale_to_width(new_width);
+            work = Cow::Owned(if scalar {
+                work.downscale_to_width_scalar(new_width)
+            } else {
+                work.downscale_to_width(new_width)
+            });
         }
     }
+    let mut work = work.into_owned();
     match spec.format {
         ImageFormat::Png => {
             let encoded = png::encode(&work);
@@ -174,7 +195,11 @@ pub fn process(canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
             // Quantization levels track quality: q=100 -> 256 levels,
             // q=10 -> ~26 levels.
             let levels = ((quality as u16 * 256) / 100).clamp(4, 256);
-            work.quantize(levels);
+            if scalar {
+                work.quantize_scalar(levels);
+            } else {
+                work.quantize(levels);
+            }
             let wire_size = jpeg_size_model(&work, quality);
             let encoded = png::encode(&work);
             ProcessedImage {

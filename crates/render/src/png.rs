@@ -75,6 +75,11 @@ fn write_chunk(out: &mut Vec<u8>, kind: &[u8; 4], data: &[u8]) {
 }
 
 /// Compresses `data` into a zlib stream (deflate with fixed Huffman).
+///
+/// # Panics
+///
+/// Panics if `data` is 4 GiB or longer (the match finder stores
+/// positions as `u32`; a canvas is capped at 512 MiB).
 pub fn zlib_compress(data: &[u8]) -> Vec<u8> {
     let mut out = vec![0x78, 0x9C]; // CMF/FLG, (0x789C % 31 == 0)
     deflate_fixed(data, &mut out, false);
@@ -430,6 +435,8 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
 const HASH_BITS: u32 = 15;
 const MAX_CHAIN: usize = 48;
+/// End-of-chain marker in the `head`/`prev` position arrays.
+const NO_POS: u32 = u32::MAX;
 
 fn hash3(data: &[u8], i: usize) -> usize {
     let v = (data[i] as u32) | ((data[i + 1] as u32) << 8) | ((data[i + 2] as u32) << 16);
@@ -446,8 +453,15 @@ fn deflate_fixed(data: &[u8], out: &mut Vec<u8>, scalar: bool) {
     writer.write_bits(1, 1); // BFINAL
     writer.write_bits(1, 2); // BTYPE=01 fixed Huffman
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len().max(1)];
+    // Chain links are `u32` positions with `u32::MAX` as the end
+    // marker, half the footprint of `usize` links.
+    assert!(
+        data.len() <= NO_POS as usize,
+        "deflate input too large: {} bytes",
+        data.len()
+    );
+    let mut head = vec![NO_POS; 1 << HASH_BITS];
+    let mut prev = vec![NO_POS; data.len().max(1)];
 
     let hashable_end = data.len().saturating_sub(MIN_MATCH - 1);
     let mut i = 0;
@@ -457,9 +471,9 @@ fn deflate_fixed(data: &[u8], out: &mut Vec<u8>, scalar: bool) {
         let mut best_dist = 0usize;
         if i < hashable_end {
             let h = hash3(data, i);
-            let mut candidate = head[h];
+            let mut candidate = head[h] as usize;
             let mut chain = 0;
-            while candidate != usize::MAX && i - candidate <= WINDOW && chain < MAX_CHAIN {
+            while candidate != NO_POS as usize && i - candidate <= WINDOW && chain < MAX_CHAIN {
                 let limit = (data.len() - i).min(MAX_MATCH);
                 let len = if scalar {
                     let mut len = 0usize;
@@ -484,7 +498,7 @@ fn deflate_fixed(data: &[u8], out: &mut Vec<u8>, scalar: bool) {
                         break;
                     }
                 }
-                candidate = prev[candidate];
+                candidate = prev[candidate] as usize;
                 chain += 1;
             }
         }
@@ -502,7 +516,7 @@ fn deflate_fixed(data: &[u8], out: &mut Vec<u8>, scalar: bool) {
         for j in i..(i + take).min(hashable_end) {
             let hj = hash3(data, j);
             prev[j] = head[hj];
-            head[hj] = j;
+            head[hj] = j as u32;
         }
         i += take;
     }

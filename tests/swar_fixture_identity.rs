@@ -1,17 +1,20 @@
-//! Byte-identity gates for the SWAR fast paths, run over the *real*
-//! fixture sites rather than synthetic documents.
+//! Byte-identity gates for the SWAR fast paths and raster kernels, run
+//! over the *real* fixture sites rather than synthetic documents.
 //!
 //! The per-crate property suites (`swar_prop`, `swar_identity`,
-//! `bloom_identity`, `strip_tag_prop`) hammer the fast/scalar twins
-//! with generated inputs; this suite closes the loop on the pages the
-//! paper's figures actually run over — every forum and classifieds
-//! page the fixtures serve must tokenize, entity-decode, strip, and
-//! select identically through the fast and scalar paths.
+//! `bloom_identity`, `strip_tag_prop`, `raster_identity`) hammer the
+//! fast/scalar twins with generated inputs; this suite closes the loop
+//! on the pages the paper's figures actually run over — every forum and
+//! classifieds page the fixtures serve must tokenize, entity-decode,
+//! strip, and select identically through the fast and scalar paths, and
+//! the rendered forum snapshot must post-process to the same bytes.
 
 use msite::pipeline::soa;
 use msite_html::tokenizer::Tokenizer;
 use msite_html::{entities, parse_document};
 use msite_net::{Origin, Request};
+use msite_render::browser::{Browser, BrowserConfig};
+use msite_render::image::{process, process_scalar, ImageFormat, PostProcess};
 use msite_selectors::SelectorList;
 use msite_sites::{ClassifiedsConfig, ClassifiedsSite, ForumConfig, ForumSite};
 
@@ -101,5 +104,36 @@ fn selector_twins_agree_on_fixture_pages() {
                 "selector twins diverged on {label} for `{src}`"
             );
         }
+    }
+}
+
+#[test]
+fn snapshot_post_process_twins_agree_on_forum_render() {
+    let (label, body) = fixture_pages()
+        .into_iter()
+        .next()
+        .expect("forum index is the first fixture page");
+    let rendered = Browser::launch(BrowserConfig::default()).render_page(&body, &[]);
+    // The forum spec's snapshot (half scale, quality 40) and the
+    // unscaled quality-50 subpage pre-render.
+    for spec in [
+        PostProcess {
+            scale: Some(0.5),
+            format: ImageFormat::JpegClass { quality: 40 },
+            ..Default::default()
+        },
+        PostProcess {
+            format: ImageFormat::JpegClass { quality: 50 },
+            ..Default::default()
+        },
+    ] {
+        let fast = process(&rendered.canvas, &spec);
+        let scalar = process_scalar(&rendered.canvas, &spec);
+        assert_eq!(
+            fast.canvas, scalar.canvas,
+            "post-process twins diverged on {label} for {spec:?}"
+        );
+        assert_eq!(fast.encoded, scalar.encoded, "{label} {spec:?}");
+        assert_eq!(fast.wire_size, scalar.wire_size, "{label} {spec:?}");
     }
 }
