@@ -15,16 +15,22 @@
 //!
 //! # Single flight
 //!
-//! Concurrent misses on one key do not stampede the producer. The first
-//! caller becomes the *leader*: it registers an in-flight marker and
-//! runs `produce()` outside the lock. Every other caller becomes a
-//! *waiter*, blocking on the flight's [`OnceValue`] rendezvous and
-//! sharing the leader's result (counted in [`CacheStats::coalesced`]).
-//! Waiters can bound their wait: on expiry they fall back to a
-//! stale-window entry when one exists, or report [`Flight::TimedOut`]
-//! so the caller can surface a deadline error instead of blocking
-//! forever. A leader that panics abandons its flight; waiters detect
-//! the abandonment and retry, electing a new leader.
+//! Concurrent misses on one key do not stampede the producer. Every
+//! flight starts in [`RenderCache::lead_or_join`]: the first caller to
+//! miss registers an in-flight marker and gets the leader handle,
+//! [`ExternalFlight`]; every other caller becomes a *waiter*, blocking
+//! on the flight's [`OnceValue`] rendezvous and sharing the leader's
+//! result (counted in [`CacheStats::coalesced`]). The leader settles
+//! the flight exactly one way: `complete` publishes the value, `fail`
+//! publishes the error (waiters return it and do not retry), and
+//! dropping the handle — a panic in a closure leader included —
+//! abandons the flight, so waiters retry and elect a new leader.
+//!
+//! There is one stale policy: a stale-window entry never
+//! short-circuits a render. Waiters can bound their wait; on expiry
+//! they fall back to a stale-window entry when one exists, or report
+//! [`Claim::TimedOut`] so the caller can surface a deadline error
+//! instead of blocking forever.
 //!
 //! # Lock striping
 //!
@@ -94,32 +100,62 @@ struct Entry {
     cost: Duration,
 }
 
+/// Where an entry stands at a given instant — the one freshness rule
+/// every read, flight, eviction and `len` applies.
+enum Standing {
+    /// Within its TTL (or untimed).
+    Fresh,
+    /// Expired, but no more than the stale window ago; carries the age
+    /// past expiry.
+    Stale(Duration),
+    /// Past the stale window: beyond salvage.
+    Dead,
+}
+
 impl Entry {
-    /// How far past its TTL the entry is at `now`; zero while fresh.
-    fn age_past_expiry(&self, now: Instant) -> Duration {
-        self.expires_at
-            .map(|t| now.saturating_duration_since(t))
-            .unwrap_or(Duration::ZERO)
+    fn standing(&self, now: Instant, stale_window: Duration) -> Standing {
+        let age = self
+            .expires_at
+            .map_or(Duration::ZERO, |t| now.saturating_duration_since(t));
+        if age.is_zero() {
+            Standing::Fresh
+        } else if age <= stale_window {
+            Standing::Stale(age)
+        } else {
+            Standing::Dead
+        }
     }
 }
 
-/// Marker published by [`FlightGuard`] when a leader unwinds without
-/// completing its flight; waiters that see it retry (and may lead).
+/// What a read of one key found (see [`Inner::probe`]).
+enum Probe {
+    Fresh { value: Bytes, cost: Duration },
+    Stale { value: Bytes, age: Duration },
+    Absent,
+}
+
+/// Marker published when a leader handle is dropped without settling
+/// its flight; waiters that see it retry (and may lead).
 struct LeaderAbandoned;
 
 type FlightError = Arc<dyn Any + Send + Sync>;
 
-/// A registered in-flight `produce()` that waiters rendezvous on.
+/// A registered in-flight render that waiters rendezvous on.
+#[derive(Default)]
 struct InFlight {
     result: OnceValue<Result<Bytes, FlightError>>,
     waiters: AtomicU64,
 }
 
 impl InFlight {
-    fn new() -> InFlight {
-        InFlight {
-            result: OnceValue::new(),
-            waiters: AtomicU64::new(0),
+    /// Parks until the leader settles the flight or `deadline` passes
+    /// (`None` = indefinitely); `None` on timeout.
+    fn wait(&self, deadline: Option<Instant>) -> Option<Result<Bytes, FlightError>> {
+        match deadline {
+            None => Some(self.result.wait()),
+            Some(deadline) => self
+                .result
+                .wait_for(deadline.saturating_duration_since(Instant::now())),
         }
     }
 }
@@ -133,6 +169,44 @@ struct Inner {
     /// Test/harness clock offset added to `Instant::now()`, so TTL and
     /// stale-window behavior can be driven without real sleeps.
     time_offset: Duration,
+}
+
+impl Inner {
+    fn now(&self) -> Instant {
+        Instant::now() + self.time_offset
+    }
+
+    /// Reads `key` under the shard lock. A fresh entry — and a stale one
+    /// when `take_stale` — has its recency refreshed (an entry serving
+    /// as degraded output must not be the next LRU victim); a dead entry
+    /// is dropped whichever API touched it. Counts only expirations;
+    /// hit/miss accounting is the caller's.
+    fn probe(&mut self, key: &str, stale_window: Duration, take_stale: bool) -> Probe {
+        let now = self.now();
+        self.clock += 1;
+        let clock = self.clock;
+        let Some(entry) = self.entries.get_mut(key) else {
+            return Probe::Absent;
+        };
+        let probe = match entry.standing(now, stale_window) {
+            Standing::Fresh => Probe::Fresh {
+                value: entry.value.clone(),
+                cost: entry.cost,
+            },
+            Standing::Stale(age) if take_stale => Probe::Stale {
+                value: entry.value.clone(),
+                age,
+            },
+            Standing::Stale(_) => return Probe::Absent,
+            Standing::Dead => {
+                self.entries.remove(key);
+                self.stats.expirations += 1;
+                return Probe::Absent;
+            }
+        };
+        entry.last_used = clock;
+        probe
+    }
 }
 
 struct Shard {
@@ -173,6 +247,33 @@ pub enum Lookup {
     Miss,
 }
 
+/// Outcome of a [`RenderCache::lead_or_join`] — the one way a flight is
+/// started or joined.
+#[derive(Debug)]
+pub enum Claim<E> {
+    /// A fresh entry was already cached; no flight was needed.
+    Hit(Bytes),
+    /// This caller leads the flight and must settle the handle:
+    /// [`ExternalFlight::complete`], [`ExternalFlight::fail`], or drop
+    /// it to abandon.
+    Led(ExternalFlight),
+    /// This caller joined another caller's flight and shares its value.
+    Shared(Bytes),
+    /// The wait budget expired and an expired entry inside the stale
+    /// window was served instead.
+    Stale {
+        /// The expired artifact.
+        value: Bytes,
+        /// How long past its TTL the entry is.
+        age: Duration,
+    },
+    /// The wait budget expired with nothing usable cached.
+    TimedOut,
+    /// The leader failed the flight; every waiter gets a clone of its
+    /// error.
+    Failed(E),
+}
+
 /// Outcome of a [`RenderCache::render_flight`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Flight<E> {
@@ -190,8 +291,8 @@ pub enum Flight<E> {
     /// This caller joined another caller's flight and shares its
     /// result.
     Shared(Bytes),
-    /// The wait budget expired (or the leader failed) and an expired
-    /// entry inside the stale window was served instead.
+    /// The wait budget expired and an expired entry inside the stale
+    /// window was served instead.
     Stale {
         /// The expired artifact.
         value: Bytes,
@@ -205,39 +306,95 @@ pub enum Flight<E> {
     Failed(E),
 }
 
-/// Removes the flight and publishes [`LeaderAbandoned`] if the leader
-/// unwinds (panics) before completing; disarmed on the success and
-/// error paths, which publish their own result.
-struct FlightGuard<'a> {
-    shard: &'a Shard,
-    key: &'a str,
-    flight: &'a Arc<InFlight>,
-    armed: bool,
+/// The state a leader handle needs to publish without borrowing the
+/// cache: a streamed leader settles its flight after `handle` returns.
+struct Core {
+    shards: Box<[Shard]>,
+    /// Stale-window width in microseconds; atomic so the health monitor
+    /// can widen serve-stale aggressiveness at runtime.
+    stale_window_micros: AtomicU64,
+    /// Optional persistent second tier (write-behind + warm restart).
+    disk: Option<Arc<DiskTier>>,
 }
 
-impl FlightGuard<'_> {
-    fn disarm(mut self) {
-        self.armed = false;
+impl Core {
+    fn stale_window(&self) -> Duration {
+        Duration::from_micros(self.stale_window_micros.load(Ordering::Relaxed))
     }
-}
 
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
+    fn shard_of(&self, key: &str) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
         }
-        let mut inner = self.shard.inner.lock();
-        if inner
-            .flights
-            .get(self.key)
-            .is_some_and(|f| Arc::ptr_eq(f, self.flight))
-        {
-            inner.flights.remove(self.key);
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        for byte in key.bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01B3);
         }
-        drop(inner);
-        // Wake waiters *after* the registry slot is free, so a retrying
-        // waiter cannot rejoin this dead flight.
-        self.flight.result.set(Err(Arc::new(LeaderAbandoned)));
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, key: &str) -> &Shard {
+        &self.shards[self.shard_of(key)]
+    }
+
+    /// Write-behind hook: persists an inserted artifact without
+    /// blocking the serving path.
+    fn write_behind(&self, key: &str, value: &Bytes, ttl: Option<Duration>, cost: Duration) {
+        if let Some(tier) = &self.disk {
+            tier.put(key, value.clone(), ttl, cost);
+        }
+    }
+
+    /// Inserts under an already-held shard lock, evicting if the shard
+    /// is full: entries past the stale window are pruned first, then an
+    /// expired-but-stale entry is preferred as the victim over a live
+    /// one, then LRU order decides.
+    fn insert_locked(
+        &self,
+        shard: &Shard,
+        inner: &mut Inner,
+        key: &str,
+        value: Bytes,
+        ttl: Option<Duration>,
+        cost: Duration,
+    ) {
+        let now = inner.now();
+        let window = self.stale_window();
+        inner.clock += 1;
+        let last_used = inner.clock;
+        if inner.entries.len() >= shard.capacity && !inner.entries.contains_key(key) {
+            let before = inner.entries.len();
+            inner
+                .entries
+                .retain(|_, e| !matches!(e.standing(now, window), Standing::Dead));
+            inner.stats.expirations += (before - inner.entries.len()) as u64;
+            if inner.entries.len() >= shard.capacity {
+                // Evict expired-but-stale entries before live ones;
+                // within a class, the least recently used goes.
+                if let Some(victim) = inner
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| {
+                        let fresh = matches!(e.standing(now, window), Standing::Fresh);
+                        (fresh, e.last_used)
+                    })
+                    .map(|(k, _)| k.clone())
+                {
+                    inner.entries.remove(&victim);
+                    inner.stats.evictions += 1;
+                }
+            }
+        }
+        inner.entries.insert(
+            key.to_string(),
+            Entry {
+                value,
+                expires_at: ttl.map(|t| now + t),
+                last_used,
+                cost,
+            },
+        );
     }
 }
 
@@ -257,12 +414,7 @@ impl Drop for FlightGuard<'_> {
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct RenderCache {
-    shards: Box<[Shard]>,
-    /// Stale-window width in microseconds; atomic so the health monitor
-    /// can widen serve-stale aggressiveness at runtime.
-    stale_window_micros: AtomicU64,
-    /// Optional persistent second tier (write-behind + warm restart).
-    disk: Option<Arc<DiskTier>>,
+    core: Arc<Core>,
     /// Entries preloaded from the disk tier at construction.
     warm_loaded: AtomicU64,
 }
@@ -311,9 +463,11 @@ impl RenderCache {
             .map(|i| Shard::new(base + usize::from(i < extra)))
             .collect();
         RenderCache {
-            shards: shards.into_boxed_slice(),
-            stale_window_micros: AtomicU64::new(stale_window.as_micros() as u64),
-            disk: None,
+            core: Arc::new(Core {
+                shards: shards.into_boxed_slice(),
+                stale_window_micros: AtomicU64::new(stale_window.as_micros() as u64),
+                disk: None,
+            }),
             warm_loaded: AtomicU64::new(0),
         }
     }
@@ -334,7 +488,9 @@ impl RenderCache {
         tier: Arc<DiskTier>,
     ) -> RenderCache {
         let mut cache = RenderCache::with_stale_window(capacity, stale_window);
-        cache.disk = Some(tier);
+        Arc::get_mut(&mut cache.core)
+            .expect("a cache under construction is unshared")
+            .disk = Some(tier);
         cache.warm_load(capacity);
         cache
     }
@@ -342,16 +498,16 @@ impl RenderCache {
     /// Preloads the most recently persisted live artifacts into the
     /// memory tier (warm restart).
     fn warm_load(&self, limit: usize) {
-        let Some(tier) = &self.disk else { return };
-        let tier = Arc::clone(tier);
+        let Some(tier) = &self.core.disk else { return };
         for key in tier.hot_keys(limit) {
             let Some(record) = tier.get(&key) else {
                 continue;
             };
             if let DiskFreshness::Fresh(ttl) = record.freshness {
-                let shard = self.shard(&key);
+                let shard = self.core.shard(&key);
                 let mut inner = shard.inner.lock();
-                self.insert_locked(shard, &mut inner, &key, record.value, ttl, record.cost);
+                self.core
+                    .insert_locked(shard, &mut inner, &key, record.value, ttl, record.cost);
                 drop(inner);
                 self.warm_loaded.fetch_add(1, Ordering::Relaxed);
             }
@@ -360,25 +516,26 @@ impl RenderCache {
 
     /// The configured stale window.
     pub fn stale_window(&self) -> Duration {
-        Duration::from_micros(self.stale_window_micros.load(Ordering::Relaxed))
+        self.core.stale_window()
     }
 
     /// Adjusts the stale window at runtime — the health monitor widens
     /// it under duress (serve stale rather than shed) and restores the
     /// configured width when the system recovers.
     pub fn set_stale_window(&self, window: Duration) {
-        self.stale_window_micros
+        self.core
+            .stale_window_micros
             .store(window.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// The persistent tier, when one is attached.
     pub fn disk(&self) -> Option<&Arc<DiskTier>> {
-        self.disk.as_ref()
+        self.core.disk.as_ref()
     }
 
     /// Statistics of the persistent tier (`None` when memory-only).
     pub fn disk_stats(&self) -> Option<crate::persist::DiskTierStats> {
-        self.disk.as_ref().map(|tier| tier.stats())
+        self.core.disk.as_ref().map(|tier| tier.stats())
     }
 
     /// Entries preloaded from disk at construction (warm restart).
@@ -389,35 +546,19 @@ impl RenderCache {
     /// Blocks until the disk tier's write-behind queue has drained.
     /// No-op when memory-only.
     pub fn flush_disk(&self) {
-        if let Some(tier) = &self.disk {
+        if let Some(tier) = &self.core.disk {
             tier.flush();
-        }
-    }
-
-    /// Write-behind hook: persists an inserted artifact without
-    /// blocking the serving path.
-    fn write_behind(&self, key: &str, value: &Bytes, ttl: Option<Duration>, cost: Duration) {
-        if let Some(tier) = &self.disk {
-            tier.put(key, value.clone(), ttl, cost);
         }
     }
 
     /// Number of lock stripes.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     /// The shard index `key` maps to (FNV-1a).
     pub fn shard_of(&self, key: &str) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in key.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01B3);
-        }
-        (hash % self.shards.len() as u64) as usize
+        self.core.shard_of(key)
     }
 
     /// The entry bound of shard `index`.
@@ -426,7 +567,7 @@ impl RenderCache {
     ///
     /// Panics when `index >= shard_count()`.
     pub fn shard_capacity(&self, index: usize) -> usize {
-        self.shards[index].capacity
+        self.core.shards[index].capacity
     }
 
     /// Entries currently stored in shard `index` (including entries
@@ -436,17 +577,13 @@ impl RenderCache {
     ///
     /// Panics when `index >= shard_count()`.
     pub fn shard_len(&self, index: usize) -> usize {
-        self.shards[index].inner.lock().entries.len()
-    }
-
-    fn shard(&self, key: &str) -> &Shard {
-        &self.shards[self.shard_of(key)]
+        self.core.shards[index].inner.lock().entries.len()
     }
 
     /// Advances the cache's notion of "now" by `delta` — a harness hook
     /// that makes TTL/stale-window tests deterministic without sleeping.
     pub fn advance_clock(&self, delta: Duration) {
-        for shard in self.shards.iter() {
+        for shard in self.core.shards.iter() {
             shard.inner.lock().time_offset += delta;
         }
     }
@@ -456,63 +593,12 @@ impl RenderCache {
     /// amortization accounting.
     pub fn put(&self, key: &str, value: impl Into<Bytes>, ttl: Option<Duration>, cost: Duration) {
         let value = value.into();
-        let shard = self.shard(key);
+        let shard = self.core.shard(key);
         let mut inner = shard.inner.lock();
-        self.insert_locked(shard, &mut inner, key, value.clone(), ttl, cost);
+        self.core
+            .insert_locked(shard, &mut inner, key, value.clone(), ttl, cost);
         drop(inner);
-        self.write_behind(key, &value, ttl, cost);
-    }
-
-    /// Inserts under an already-held shard lock, evicting if the shard
-    /// is full: entries past the stale window are pruned first, then an
-    /// expired-but-stale entry is preferred as the victim over a live
-    /// one, then LRU order decides.
-    fn insert_locked(
-        &self,
-        shard: &Shard,
-        inner: &mut Inner,
-        key: &str,
-        value: Bytes,
-        ttl: Option<Duration>,
-        cost: Duration,
-    ) {
-        let now = Instant::now() + inner.time_offset;
-        inner.clock += 1;
-        let last_used = inner.clock;
-        if inner.entries.len() >= shard.capacity && !inner.entries.contains_key(key) {
-            let dead: Vec<String> = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.age_past_expiry(now) > self.stale_window())
-                .map(|(k, _)| k.clone())
-                .collect();
-            for k in &dead {
-                inner.entries.remove(k);
-                inner.stats.expirations += 1;
-            }
-            if inner.entries.len() >= shard.capacity {
-                // Evict expired-but-stale entries before live ones;
-                // within a class, the least recently used goes.
-                if let Some(victim) = inner
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| (e.age_past_expiry(now).is_zero(), e.last_used))
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.entries.remove(&victim);
-                    inner.stats.evictions += 1;
-                }
-            }
-        }
-        inner.entries.insert(
-            key.to_string(),
-            Entry {
-                value,
-                expires_at: ttl.map(|t| now + t),
-                last_used,
-                cost,
-            },
-        );
+        self.core.write_behind(key, &value, ttl, cost);
     }
 
     /// Fetches a live artifact, refreshing its recency. Every hit adds
@@ -534,47 +620,23 @@ impl RenderCache {
     }
 
     fn lookup_at(&self, key: &str, allow_stale: bool) -> Lookup {
-        match self.lookup_mem(key, allow_stale) {
-            Lookup::Miss => self.lookup_disk(key, allow_stale),
-            found => found,
+        let mut inner = self.core.shard(key).inner.lock();
+        match inner.probe(key, self.stale_window(), allow_stale) {
+            Probe::Fresh { value, cost } => {
+                inner.stats.hits += 1;
+                inner.amortized += cost;
+                Lookup::Fresh(value)
+            }
+            Probe::Stale { value, age } => {
+                inner.stats.stale_hits += 1;
+                Lookup::Stale { value, age }
+            }
+            Probe::Absent => {
+                inner.stats.misses += 1;
+                drop(inner);
+                self.lookup_disk(key, allow_stale)
+            }
         }
-    }
-
-    fn lookup_mem(&self, key: &str, allow_stale: bool) -> Lookup {
-        let mut inner = self.shard(key).inner.lock();
-        let now = Instant::now() + inner.time_offset;
-        inner.clock += 1;
-        let clock = inner.clock;
-        let Some(entry) = inner.entries.get_mut(key) else {
-            inner.stats.misses += 1;
-            return Lookup::Miss;
-        };
-        let age = entry.age_past_expiry(now);
-        if age.is_zero() {
-            entry.last_used = clock;
-            let value = entry.value.clone();
-            let cost = entry.cost;
-            inner.stats.hits += 1;
-            inner.amortized += cost;
-            return Lookup::Fresh(value);
-        }
-        if age > self.stale_window() {
-            // Beyond salvage: drop the entry whichever API touched it.
-            inner.entries.remove(key);
-            inner.stats.expirations += 1;
-            inner.stats.misses += 1;
-            return Lookup::Miss;
-        }
-        if !allow_stale {
-            inner.stats.misses += 1;
-            return Lookup::Miss;
-        }
-        // Refresh recency: an entry serving as degraded output must not
-        // be the next LRU victim.
-        entry.last_used = clock;
-        let value = entry.value.clone();
-        inner.stats.stale_hits += 1;
-        Lookup::Stale { value, age }
     }
 
     /// Memory-miss fallback: consult the persistent tier. A fresh
@@ -584,24 +646,16 @@ impl RenderCache {
     /// miss stays counted — disk recoveries surface in
     /// [`Self::disk_stats`], not in [`CacheStats`].
     fn lookup_disk(&self, key: &str, allow_stale: bool) -> Lookup {
-        let Some(tier) = &self.disk else {
-            return Lookup::Miss;
-        };
-        let Some(record) = tier.get(key) else {
+        let Some(record) = self.core.disk.as_ref().and_then(|tier| tier.get(key)) else {
             return Lookup::Miss;
         };
         match record.freshness {
             DiskFreshness::Fresh(ttl) => {
-                let shard = self.shard(key);
+                let shard = self.core.shard(key);
                 let mut inner = shard.inner.lock();
-                self.insert_locked(
-                    shard,
-                    &mut inner,
-                    key,
-                    record.value.clone(),
-                    ttl,
-                    record.cost,
-                );
+                let value = record.value.clone();
+                self.core
+                    .insert_locked(shard, &mut inner, key, value, ttl, record.cost);
                 Lookup::Fresh(record.value)
             }
             DiskFreshness::Expired(age) if allow_stale && age <= self.stale_window() => {
@@ -614,70 +668,115 @@ impl RenderCache {
         }
     }
 
-    /// Flight-path disk probe: when memory lacks a fresh entry but the
-    /// persistent tier holds one, promote it so the flight resolves as
-    /// a hit instead of electing a render leader.
-    fn promote_for_flight(&self, key: &str) {
-        let Some(tier) = &self.disk else { return };
-        {
-            let inner = self.shard(key).inner.lock();
-            let now = Instant::now() + inner.time_offset;
-            if let Some(entry) = inner.entries.get(key) {
-                if entry.age_past_expiry(now).is_zero() {
-                    return;
+    /// Claims the flight for `key`: the one single-flight primitive
+    /// every other entry point wraps.
+    ///
+    /// A fresh entry answers [`Claim::Hit`] (a fresh artifact on the
+    /// disk tier is promoted first). Otherwise the first caller gets
+    /// [`Claim::Led`] and must settle the [`ExternalFlight`] handle;
+    /// concurrent callers wait on that flight and get
+    /// [`Claim::Shared`] or, when the leader fails it,
+    /// [`Claim::Failed`]. An abandoned flight sends its waiters around
+    /// again, and one of them leads the retry. `wait_budget` bounds how
+    /// long a waiter blocks (`None` = indefinitely): on expiry it falls
+    /// back to a stale-window entry ([`Claim::Stale`]) or reports
+    /// [`Claim::TimedOut`]. A stale-window entry never short-circuits a
+    /// render: it is only the fallback.
+    pub fn lead_or_join<E>(&self, key: &str, wait_budget: Option<Duration>) -> Claim<E>
+    where
+        E: Clone + Send + Sync + 'static,
+    {
+        let deadline = wait_budget.map(|budget| Instant::now() + budget);
+        let shard = self.core.shard(key);
+        let window = self.stale_window();
+        let mut disk_checked = self.core.disk.is_none();
+        let mut counted_miss = false;
+        loop {
+            let mut inner = shard.inner.lock();
+            if let Probe::Fresh { value, cost } = inner.probe(key, window, false) {
+                inner.stats.hits += 1;
+                inner.amortized += cost;
+                return Claim::Hit(value);
+            }
+            if !std::mem::replace(&mut disk_checked, true) {
+                // A fresh artifact on disk is promoted and then hit,
+                // instead of electing a render leader.
+                drop(inner);
+                self.lookup_disk(key, false);
+                continue;
+            }
+            if !std::mem::replace(&mut counted_miss, true) {
+                inner.stats.misses += 1;
+            }
+            let Some(flight) = inner.flights.get(key).map(Arc::clone) else {
+                let flight = Arc::new(InFlight::default());
+                inner.flights.insert(key.to_string(), Arc::clone(&flight));
+                return Claim::Led(ExternalFlight {
+                    core: Arc::clone(&self.core),
+                    key: key.to_string(),
+                    flight,
+                    settled: false,
+                });
+            };
+            flight.waiters.fetch_add(1, Ordering::Relaxed);
+            drop(inner);
+            match flight.wait(deadline) {
+                Some(Ok(value)) => {
+                    shard.inner.lock().stats.coalesced += 1;
+                    return Claim::Shared(value);
                 }
+                Some(Err(error)) => match error.downcast_ref::<E>() {
+                    Some(error) => return Claim::Failed(error.clone()),
+                    // The leader let go without an answer, or a flight
+                    // with another error type raced us on this key and
+                    // the wait is unbounded: go around, possibly to lead.
+                    None if error.is::<LeaderAbandoned>() || deadline.is_none() => continue,
+                    None => {}
+                },
+                None => {}
             }
-        }
-        if let Some(record) = tier.get(key) {
-            if let DiskFreshness::Fresh(ttl) = record.freshness {
-                let shard = self.shard(key);
-                let mut inner = shard.inner.lock();
-                self.insert_locked(shard, &mut inner, key, record.value, ttl, record.cost);
-            }
+            // The budget is spent (or a foreign-typed failure came back):
+            // serve the stale window if possible. A fresh entry can land
+            // in the instant the wait gave up — that still counts as
+            // coalesced.
+            let mut inner = shard.inner.lock();
+            return match inner.probe(key, window, true) {
+                Probe::Fresh { value, .. } => {
+                    inner.stats.coalesced += 1;
+                    Claim::Shared(value)
+                }
+                Probe::Stale { value, age } => {
+                    inner.stats.stale_hits += 1;
+                    Claim::Stale { value, age }
+                }
+                Probe::Absent => Claim::TimedOut,
+            };
         }
     }
 
     /// Fetches, or computes-and-stores on miss, coalescing concurrent
     /// misses into one `produce()` (single flight). The closure returns
-    /// the artifact plus its production cost.
-    ///
-    /// Expired entries inside the stale window are served directly
-    /// (counting a stale hit) rather than recomputed — the degraded
-    /// answer is preferred over a redundant render here. Callers that
-    /// instead want a fresh render with stale only as a timeout
-    /// fallback use [`Self::render_flight`].
+    /// the artifact plus its production cost. Waits are unbounded, so
+    /// every caller gets a value; a stale-window entry is re-rendered,
+    /// never served.
     pub fn get_or_insert_with(
         &self,
         key: &str,
         ttl: Option<Duration>,
         produce: impl FnOnce() -> (Bytes, Duration),
     ) -> Bytes {
-        match self
-            .flight_inner::<std::convert::Infallible, _>(key, ttl, None, true, || Ok(produce()))
-        {
-            Flight::Hit(value)
-            | Flight::Led { value, .. }
-            | Flight::Shared(value)
-            | Flight::Stale { value, .. } => value,
-            Flight::TimedOut => unreachable!("unbounded waits cannot time out"),
+        match self.render_flight::<std::convert::Infallible>(key, ttl, None, || Ok(produce())) {
+            Flight::Hit(value) | Flight::Led { value, .. } | Flight::Shared(value) => value,
+            Flight::Stale { .. } | Flight::TimedOut => unreachable!("unbounded waits never expire"),
             Flight::Failed(error) => match error {},
         }
     }
 
-    /// Fetches, or runs a fallible `produce()` exactly once across
-    /// concurrent callers (single flight), with a bounded wait.
-    ///
-    /// The first caller to miss becomes the leader and runs `produce()`
-    /// outside the cache lock; concurrent callers wait on the flight
-    /// and share its result ([`Flight::Shared`]). `wait_budget` bounds
-    /// how long a waiter blocks (`None` = indefinitely): on expiry it
-    /// falls back to a stale-window entry ([`Flight::Stale`]) or
-    /// reports [`Flight::TimedOut`]. A failed `produce()` caches
-    /// nothing and propagates a clone of the error to every waiter.
-    ///
-    /// Unlike [`Self::get_or_insert_with`], an expired-but-stale entry
-    /// does *not* short-circuit the render: freshness is preferred, and
-    /// stale serves only as the fallback.
+    /// [`Self::lead_or_join`] with the leader's work as a closure: the
+    /// leader runs the fallible `produce()` outside the cache lock and
+    /// settles the flight with its outcome — a value is cached and
+    /// shared, an error caches nothing and reaches every waiter as a
+    /// clone. A panicking `produce()` abandons the flight.
     pub fn render_flight<E>(
         &self,
         key: &str,
@@ -688,209 +787,39 @@ impl RenderCache {
     where
         E: Clone + Send + Sync + 'static,
     {
-        self.flight_inner(key, ttl, wait_budget, false, produce)
-    }
-
-    fn flight_inner<E, F>(
-        &self,
-        key: &str,
-        ttl: Option<Duration>,
-        wait_budget: Option<Duration>,
-        eager_stale: bool,
-        produce: F,
-    ) -> Flight<E>
-    where
-        E: Clone + Send + Sync + 'static,
-        F: FnOnce() -> Result<(Bytes, Duration), E>,
-    {
-        let wait_deadline = wait_budget.map(|b| Instant::now() + b);
-        if self.disk.is_some() {
-            self.promote_for_flight(key);
-        }
-        let shard = self.shard(key);
-        let mut produce = Some(produce);
-        let mut counted_miss = false;
-        loop {
-            let mut inner = shard.inner.lock();
-            let now = Instant::now() + inner.time_offset;
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(entry) = inner.entries.get_mut(key) {
-                let age = entry.age_past_expiry(now);
-                if age.is_zero() {
-                    entry.last_used = clock;
-                    let value = entry.value.clone();
-                    let cost = entry.cost;
-                    inner.stats.hits += 1;
-                    inner.amortized += cost;
-                    return Flight::Hit(value);
+        match self.lead_or_join(key, wait_budget) {
+            Claim::Hit(value) => Flight::Hit(value),
+            Claim::Shared(value) => Flight::Shared(value),
+            Claim::Stale { value, age } => Flight::Stale { value, age },
+            Claim::TimedOut => Flight::TimedOut,
+            Claim::Failed(error) => Flight::Failed(error),
+            Claim::Led(mut leader) => match produce() {
+                Ok((value, cost)) => Flight::Led {
+                    shared_with: leader.settle(Ok((value.clone(), ttl, cost))),
+                    value,
+                },
+                Err(error) => {
+                    leader.fail(error.clone());
+                    Flight::Failed(error)
                 }
-                if age > self.stale_window() {
-                    inner.entries.remove(key);
-                    inner.stats.expirations += 1;
-                } else if eager_stale {
-                    entry.last_used = clock;
-                    let value = entry.value.clone();
-                    inner.stats.stale_hits += 1;
-                    return Flight::Stale { value, age };
-                }
-            }
-            if !counted_miss {
-                inner.stats.misses += 1;
-                counted_miss = true;
-            }
-            let joined = match inner.flights.get(key) {
-                Some(flight) => {
-                    flight.waiters.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(flight))
-                }
-                None => {
-                    let flight = Arc::new(InFlight::new());
-                    inner.flights.insert(key.to_string(), Arc::clone(&flight));
-                    drop(inner);
-                    return self.lead(
-                        shard,
-                        key,
-                        ttl,
-                        &flight,
-                        produce
-                            .take()
-                            .expect("produce is consumed only by the leader"),
-                    );
-                }
-            };
-            drop(inner);
-
-            let flight = joined.expect("non-leader path always joins");
-            let outcome = match wait_deadline {
-                None => Some(flight.result.wait()),
-                Some(deadline) => flight
-                    .result
-                    .wait_for(deadline.saturating_duration_since(Instant::now())),
-            };
-            match outcome {
-                Some(Ok(value)) => {
-                    shard.inner.lock().stats.coalesced += 1;
-                    return Flight::Shared(value);
-                }
-                Some(Err(error)) => {
-                    if error.is::<LeaderAbandoned>() {
-                        // The leader unwound without an answer; go
-                        // around and possibly lead the retry.
-                        continue;
-                    }
-                    if let Some(error) = error.downcast_ref::<E>() {
-                        return Flight::Failed(error.clone());
-                    }
-                    // A flight with a different error type raced us on
-                    // this key; treat it like an expired wait.
-                    if wait_deadline.is_none() {
-                        continue;
-                    }
-                    return self.stale_or_timed_out(shard, key);
-                }
-                None => return self.stale_or_timed_out(shard, key),
-            }
+            },
         }
-    }
-
-    /// Leader side of a flight: run `produce()` outside the lock, then
-    /// publish the outcome to the cache and to the flight's waiters.
-    fn lead<E>(
-        &self,
-        shard: &Shard,
-        key: &str,
-        ttl: Option<Duration>,
-        flight: &Arc<InFlight>,
-        produce: impl FnOnce() -> Result<(Bytes, Duration), E>,
-    ) -> Flight<E>
-    where
-        E: Clone + Send + Sync + 'static,
-    {
-        let guard = FlightGuard {
-            shard,
-            key,
-            flight,
-            armed: true,
-        };
-        let outcome = produce();
-        let mut inner = shard.inner.lock();
-        if let Ok((value, cost)) = &outcome {
-            self.insert_locked(shard, &mut inner, key, value.clone(), ttl, *cost);
-        }
-        if inner
-            .flights
-            .get(key)
-            .is_some_and(|f| Arc::ptr_eq(f, flight))
-        {
-            inner.flights.remove(key);
-        }
-        drop(inner);
-        let shared_with = flight.waiters.load(Ordering::Relaxed);
-        match outcome {
-            Ok((value, cost)) => {
-                self.write_behind(key, &value, ttl, cost);
-                flight.result.set(Ok(value.clone()));
-                guard.disarm();
-                Flight::Led { value, shared_with }
-            }
-            Err(error) => {
-                flight.result.set(Err(Arc::new(error.clone())));
-                guard.disarm();
-                Flight::Failed(error)
-            }
-        }
-    }
-
-    /// A waiter whose budget expired (or whose flight failed under it):
-    /// serve the stale window if it can, otherwise time out. A fresh
-    /// entry can appear here when the flight completed in the same
-    /// instant the wait gave up — that still counts as coalesced.
-    fn stale_or_timed_out<E>(&self, shard: &Shard, key: &str) -> Flight<E> {
-        let mut inner = shard.inner.lock();
-        let now = Instant::now() + inner.time_offset;
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            let age = entry.age_past_expiry(now);
-            if age.is_zero() {
-                entry.last_used = clock;
-                let value = entry.value.clone();
-                inner.stats.coalesced += 1;
-                return Flight::Shared(value);
-            }
-            if age <= self.stale_window() {
-                entry.last_used = clock;
-                let value = entry.value.clone();
-                inner.stats.stale_hits += 1;
-                return Flight::Stale { value, age };
-            }
-            inner.entries.remove(key);
-            inner.stats.expirations += 1;
-        }
-        Flight::TimedOut
     }
 
     /// Waits (up to `budget`, `None` = indefinitely) for an in-flight
-    /// `produce()` on `key` to complete, returning its value on
-    /// success. Returns `None` immediately when no flight is registered
-    /// — this is an observation hook, not a lookup, and touches no
-    /// statistics.
+    /// render of `key` to complete, returning its value on success.
+    /// Returns `None` immediately when no flight is registered — this
+    /// is an observation hook, not a lookup, and touches no statistics.
     pub fn join_flight(&self, key: &str, budget: Option<Duration>) -> Option<Bytes> {
-        let flight = self.shard(key).inner.lock().flights.get(key).cloned()?;
-        let outcome = match budget {
-            None => Some(flight.result.wait()),
-            Some(budget) => flight.result.wait_for(budget),
-        };
-        match outcome {
-            Some(Ok(value)) => Some(value),
-            _ => None,
-        }
+        let shard = self.core.shard(key);
+        let flight = shard.inner.lock().flights.get(key).cloned()?;
+        flight.wait(budget.map(|b| Instant::now() + b))?.ok()
     }
 
     /// Number of flights currently registered (renders in progress).
     pub fn in_flight(&self) -> usize {
-        self.shards
+        self.core
+            .shards
             .iter()
             .map(|s| s.inner.lock().flights.len())
             .sum()
@@ -898,18 +827,18 @@ impl RenderCache {
 
     /// Drops an entry (from the disk tier too, when one is attached).
     pub fn invalidate(&self, key: &str) {
-        self.shard(key).inner.lock().entries.remove(key);
-        if let Some(tier) = &self.disk {
+        self.core.shard(key).inner.lock().entries.remove(key);
+        if let Some(tier) = &self.core.disk {
             tier.forget(key);
         }
     }
 
     /// Drops everything (in-flight registrations are untouched).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
+        for shard in self.core.shards.iter() {
             shard.inner.lock().entries.clear();
         }
-        if let Some(tier) = &self.disk {
+        if let Some(tier) = &self.core.disk {
             tier.forget_all();
         }
     }
@@ -918,15 +847,17 @@ impl RenderCache {
     /// stale window has lapsed still occupy their slot until touched or
     /// pruned, but are no longer counted here.
     pub fn len(&self) -> usize {
-        self.shards
+        let window = self.stale_window();
+        self.core
+            .shards
             .iter()
             .map(|shard| {
                 let inner = shard.inner.lock();
-                let now = Instant::now() + inner.time_offset;
+                let now = inner.now();
                 inner
                     .entries
                     .values()
-                    .filter(|e| e.age_past_expiry(now) <= self.stale_window())
+                    .filter(|e| !matches!(e.standing(now, window), Standing::Dead))
                     .count()
             })
             .sum()
@@ -940,7 +871,7 @@ impl RenderCache {
     /// Statistics so far, aggregated across shards.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for shard in self.shards.iter() {
+        for shard in self.core.shards.iter() {
             total.absorb(shard.inner.lock().stats);
         }
         total
@@ -949,116 +880,74 @@ impl RenderCache {
     /// Total rendering time saved by cache hits — the paper's
     /// "amortizing rendering costs across many client sessions".
     pub fn amortized_savings(&self) -> Duration {
-        self.shards.iter().map(|s| s.inner.lock().amortized).sum()
-    }
-
-    /// Tries to become the leader for an *externally produced* render
-    /// of `key` — the hook that lets producers which cannot run inside
-    /// a closure (the streaming pipeline renders unit-by-unit into a
-    /// chunk sink) still participate in single flight.
-    ///
-    /// Returns `None` when a fresh entry already exists (serve it via
-    /// [`Self::lookup`]) or another flight is in progress (join it via
-    /// [`Self::join_flight`] or [`Self::render_flight`]). Returns
-    /// `Some` when this caller won the leadership: it must eventually
-    /// [`ExternalFlight::complete`] the flight, or drop it to abandon
-    /// (waiters then retry and elect a new leader).
-    pub fn try_lead(self: &Arc<Self>, key: &str) -> Option<ExternalFlight> {
-        if self.disk.is_some() {
-            self.promote_for_flight(key);
-        }
-        let shard = self.shard(key);
-        let mut inner = shard.inner.lock();
-        let now = Instant::now() + inner.time_offset;
-        if let Some(entry) = inner.entries.get(key) {
-            if entry.age_past_expiry(now).is_zero() {
-                return None;
-            }
-        }
-        if inner.flights.contains_key(key) {
-            return None;
-        }
-        let flight = Arc::new(InFlight::new());
-        inner.flights.insert(key.to_string(), Arc::clone(&flight));
-        Some(ExternalFlight {
-            cache: Arc::clone(self),
-            key: key.to_string(),
-            flight,
-            completed: false,
-        })
+        self.core
+            .shards
+            .iter()
+            .map(|s| s.inner.lock().amortized)
+            .sum()
     }
 }
 
-/// Leadership of a single-flight render whose artifact is produced
-/// outside the cache's closures (see [`RenderCache::try_lead`]).
+/// Leadership of one flight, handed out as [`Claim::Led`]. It owns what
+/// it needs to publish, so a leader may settle it after the request
+/// that claimed it has returned (the streamed entry does).
 ///
-/// Completing publishes the artifact to the cache (and its disk tier)
-/// and wakes every waiter; dropping without completing abandons the
-/// flight exactly like a panicking closure leader — waiters retry and
-/// elect a new leader.
+/// Settle it exactly one way: [`complete`](Self::complete) caches the
+/// artifact (and writes it behind to the disk tier) and wakes every
+/// waiter with it; [`fail`](Self::fail) caches nothing and wakes every
+/// waiter with the error, which they return without retrying; dropping
+/// the handle abandons the flight, and the waiters retry and elect a
+/// new leader.
 pub struct ExternalFlight {
-    cache: Arc<RenderCache>,
+    core: Arc<Core>,
     key: String,
     flight: Arc<InFlight>,
-    completed: bool,
+    settled: bool,
 }
 
 impl ExternalFlight {
-    /// The key this flight leads.
-    pub fn key(&self) -> &str {
-        &self.key
+    /// Publishes the finished artifact to the cache and to every
+    /// waiter.
+    pub fn complete(mut self, value: impl Into<Bytes>, ttl: Option<Duration>, cost: Duration) {
+        self.settle(Ok((value.into(), ttl, cost)));
     }
 
-    /// Number of waiters currently parked on this flight.
-    pub fn waiters(&self) -> u64 {
+    /// Publishes `error` to every waiter; waiters joined as
+    /// `lead_or_join::<E>` return it as [`Claim::Failed`].
+    pub fn fail<E: Send + Sync + 'static>(mut self, error: E) {
+        self.settle(Err(Arc::new(error)));
+    }
+
+    /// The one publish path (complete, fail and abandon): caches a
+    /// value, frees the registry slot, then wakes the waiters — after
+    /// the slot is free, so a retrying waiter cannot rejoin this flight.
+    /// Returns how many waiters were parked on the flight.
+    fn settle(&mut self, outcome: Result<(Bytes, Option<Duration>, Duration), FlightError>) -> u64 {
+        self.settled = true;
+        let shard = self.core.shard(&self.key);
+        let mut inner = shard.inner.lock();
+        if let Ok((value, ttl, cost)) = &outcome {
+            self.core
+                .insert_locked(shard, &mut inner, &self.key, value.clone(), *ttl, *cost);
+        }
+        // The slot is this flight's until now: claimants only register
+        // on a vacant key, and only settling vacates it.
+        inner.flights.remove(&self.key);
+        drop(inner);
+        let result = outcome.map(|(value, ttl, cost)| {
+            self.core.write_behind(&self.key, &value, ttl, cost);
+            value
+        });
+        self.flight.result.set(result);
         self.flight.waiters.load(Ordering::Relaxed)
     }
-
-    /// Publishes the finished artifact: inserts it into the cache,
-    /// writes it behind to the disk tier, and wakes every waiter with
-    /// the value.
-    pub fn complete(mut self, value: impl Into<Bytes>, ttl: Option<Duration>, cost: Duration) {
-        let value = value.into();
-        let shard = self.cache.shard(&self.key);
-        {
-            let mut inner = shard.inner.lock();
-            self.cache
-                .insert_locked(shard, &mut inner, &self.key, value.clone(), ttl, cost);
-            if inner
-                .flights
-                .get(&self.key)
-                .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-            {
-                inner.flights.remove(&self.key);
-            }
-        }
-        self.cache.write_behind(&self.key, &value, ttl, cost);
-        self.flight.result.set(Ok(value));
-        self.completed = true;
-    }
-
-    /// Abandons the flight explicitly (identical to dropping it).
-    pub fn abandon(self) {}
 }
 
 impl Drop for ExternalFlight {
     fn drop(&mut self) {
-        if self.completed {
-            return;
+        if !self.settled {
+            self.settle(Err(Arc::new(LeaderAbandoned)));
         }
-        let shard = self.cache.shard(&self.key);
-        let mut inner = shard.inner.lock();
-        if inner
-            .flights
-            .get(&self.key)
-            .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-        {
-            inner.flights.remove(&self.key);
-        }
-        drop(inner);
-        // Wake waiters *after* the registry slot is free, so a retrying
-        // waiter cannot rejoin this dead flight.
-        self.flight.result.set(Err(Arc::new(LeaderAbandoned)));
     }
 }
 
@@ -1066,7 +955,7 @@ impl std::fmt::Debug for ExternalFlight {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExternalFlight")
             .field("key", &self.key)
-            .field("completed", &self.completed)
+            .field("settled", &self.settled)
             .finish()
     }
 }
@@ -1208,6 +1097,7 @@ impl SubtreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     #[test]
@@ -1276,22 +1166,125 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_serves_stale_within_window() {
+    fn stale_entries_rerender_and_serve_only_as_fallback() {
         let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
-        cache.put(
-            "k",
-            b"old".to_vec(),
-            Some(Duration::from_secs(1)),
-            Duration::ZERO,
-        );
+        let ttl = Some(Duration::from_secs(1));
+        cache.put("k", b"old".to_vec(), ttl, Duration::ZERO);
         cache.advance_clock(Duration::from_secs(10));
-        let v = cache.get_or_insert_with("k", None, || {
-            panic!("a stale-window entry must be served, not recomputed")
-        });
-        assert_eq!(&v[..], b"old");
+        // One stale policy: a stale-window entry never short-circuits a
+        // render.
+        let v = cache.get_or_insert_with("k", ttl, || (Bytes::from_static(b"new"), Duration::ZERO));
+        assert_eq!(&v[..], b"new");
         let stats = cache.stats();
-        assert_eq!(stats.stale_hits, 1);
-        assert_eq!(stats.misses, 0);
+        assert_eq!((stats.stale_hits, stats.misses), (0, 1));
+        // Stale is the fallback of a waiter whose budget runs out while
+        // another caller renders.
+        cache.advance_clock(Duration::from_secs(10));
+        let Claim::Led(leader) = cache.lead_or_join::<()>("k", None) else {
+            panic!("a stale entry must elect a render leader");
+        };
+        match cache.lead_or_join::<()>("k", Some(Duration::from_millis(10))) {
+            Claim::Stale { value, age } => {
+                assert_eq!(&value[..], b"new");
+                assert!(age >= Duration::from_secs(9));
+            }
+            other => panic!("expected the stale fallback, got {other:?}"),
+        }
+        drop(leader);
+        assert_eq!(cache.stats().stale_hits, 1);
+    }
+
+    /// Waiters parked on `key`'s flight (0 when none is registered).
+    fn parked(cache: &RenderCache, key: &str) -> u64 {
+        let inner = cache.core.shard(key).inner.lock();
+        inner
+            .flights
+            .get(key)
+            .map_or(0, |f| f.waiters.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn dropped_leader_handle_sends_a_render_flight_waiter_to_lead() {
+        let cache = RenderCache::new(8);
+        let produced = AtomicUsize::new(0);
+        let Claim::Led(leader) = cache.lead_or_join::<()>("k", None) else {
+            panic!("a cold key must elect a leader");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                cache.render_flight::<()>("k", None, None, || {
+                    produced.fetch_add(1, Ordering::SeqCst);
+                    Ok((Bytes::from_static(b"v"), Duration::ZERO))
+                })
+            });
+            while parked(&cache, "k") == 0 {
+                std::thread::yield_now();
+            }
+            drop(leader);
+            let out = waiter.join().unwrap();
+            assert!(matches!(out, Flight::Led { .. }), "got {out:?}");
+        });
+        assert_eq!(produced.load(Ordering::SeqCst), 1, "exactly one retry");
+        assert_eq!(cache.get("k").as_deref(), Some(&b"v"[..]));
+        assert_eq!(cache.in_flight(), 0);
+    }
+
+    #[test]
+    fn failed_leader_handle_reaches_every_waiter_without_retry() {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Boom;
+
+        const N: u64 = 3;
+        let cache = RenderCache::new(8);
+        let Claim::Led(leader) = cache.lead_or_join::<Boom>("k", None) else {
+            panic!("a cold key must elect a leader");
+        };
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..N)
+                .map(|_| s.spawn(|| cache.lead_or_join::<Boom>("k", None)))
+                .collect();
+            while parked(&cache, "k") < N {
+                std::thread::yield_now();
+            }
+            leader.fail(Boom);
+            for waiter in waiters {
+                let out = waiter.join().unwrap();
+                assert!(matches!(out, Claim::Failed(Boom)), "got {out:?}");
+            }
+        });
+        assert_eq!(cache.stats().coalesced, 0, "a failure is not shared");
+        assert_eq!(cache.in_flight(), 0);
+        assert!(cache.get("k").is_none(), "a failed flight caches nothing");
+    }
+
+    #[test]
+    fn panicking_closure_leader_promotes_a_lead_or_join_waiter() {
+        let cache = RenderCache::new(8);
+        std::thread::scope(|s| {
+            let crashed = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.render_flight::<()>("k", None, None, || {
+                        while parked(&cache, "k") == 0 {
+                            std::thread::yield_now();
+                        }
+                        panic!("simulated renderer crash")
+                    })
+                }))
+            });
+            let waiter = s.spawn(|| {
+                while cache.in_flight() == 0 {
+                    std::thread::yield_now();
+                }
+                match cache.lead_or_join::<()>("k", None) {
+                    Claim::Led(leader) => leader.complete(b"retry".to_vec(), None, Duration::ZERO),
+                    other => panic!("the waiter must be promoted, got {other:?}"),
+                }
+            });
+            assert!(crashed.join().unwrap().is_err());
+            waiter.join().unwrap();
+        });
+        assert_eq!(cache.get("k").as_deref(), Some(&b"retry"[..]));
+        assert_eq!(cache.stats().coalesced, 0);
     }
 
     #[test]

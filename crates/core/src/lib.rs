@@ -77,7 +77,7 @@ pub mod snapshot;
 pub use attributes::{AdaptationSpec, Attribute, Rule, SnapshotSpec, SourceFilter, Target};
 pub use baseline::{HighlightConfig, HighlightProxy, HighlightStats};
 pub use cache::{
-    CacheStats, ExternalFlight, Flight, Lookup, RenderCache, SubtreeCache, SubtreeCacheStats,
+    CacheStats, Claim, ExternalFlight, Flight, Lookup, RenderCache, SubtreeCache, SubtreeCacheStats,
 };
 pub use content::{BoilerKind, ExtractOutcome};
 pub use engine::{EngineRegistry, FallbackRender, RenderEngine, RenderError, RenderedArtifact};

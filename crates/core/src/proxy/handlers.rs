@@ -46,6 +46,41 @@ impl ProxyServer {
         response
     }
 
+    /// Fetches the spec's page from the origin for a rebuild; a failed
+    /// fetch becomes the matching [`ProxyError`].
+    pub(super) fn fetch_page(
+        &self,
+        session: &Arc<Mutex<Session>>,
+        deadline: Deadline,
+    ) -> Result<Response, ProxyError> {
+        let mut page_request =
+            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
+                detail: e.to_string(),
+            })?;
+        let page = self.origin_fetch(session, &mut page_request, deadline);
+        if !page.status.is_success() {
+            return Err(ProxyError::from_origin_failure(&page));
+        }
+        Ok(page)
+    }
+
+    /// The serve-stale degradation: when `err` means the origin is
+    /// unavailable (final 5xx, breaker open, deadline exhausted) and
+    /// `key` still has a copy inside the stale window, that copy and its
+    /// age answer instead of the error.
+    pub(super) fn stale_fallback(
+        &self,
+        key: &str,
+        err: ProxyError,
+    ) -> Result<(Bytes, Duration), ProxyError> {
+        if err.is_unavailability() {
+            if let Lookup::Stale { value, age } = self.cache.lookup(key) {
+                return Ok((value, age));
+            }
+        }
+        Err(err)
+    }
+
     /// Builds (or reuses) the shared entry page + snapshot, which are
     /// user-independent: the snapshot shows the public view of the page
     /// and is "stored in a public cache" with the spec's TTL.
@@ -73,13 +108,7 @@ impl ProxyServer {
             .snapshot
             .as_ref()
             .map(|s| Duration::from_secs(s.cache_ttl_secs));
-        // Tier-resolved entries are distinct artifacts (their image
-        // fidelity differs), so each tier gets its own cache key and
-        // single-flight lane; tier-less specs keep the bare key.
-        let key = match tier {
-            Some(class) => format!("entry:html@{class}"),
-            None => "entry:html".to_string(),
-        };
+        let key = entry_key(tier);
         let flight_started = Instant::now();
         let flight =
             self.cache
@@ -119,16 +148,10 @@ impl ProxyServer {
             }
             Flight::Failed(err) => {
                 role_fields.push(("role".to_string(), "failed".to_string()));
-                if err.is_unavailability() {
-                    if let Lookup::Stale { value, age } = self.cache.lookup(&key) {
-                        role_fields.push(("fallback".to_string(), "stale".to_string()));
-                        Ok((value, Some(age)))
-                    } else {
-                        Err(err)
-                    }
-                } else {
-                    Err(err)
-                }
+                self.stale_fallback(&key, err).map(|(value, age)| {
+                    role_fields.push(("fallback".to_string(), "stale".to_string()));
+                    (value, Some(age))
+                })
             }
         };
         if let Some(trace) = Trace::current() {
@@ -154,14 +177,7 @@ impl ProxyServer {
         tier: Option<msite_net::BandwidthClass>,
     ) -> Result<(Bytes, Duration), ProxyError> {
         let start = Instant::now();
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            return Err(ProxyError::from_origin_failure(&page));
-        }
+        let page = self.fetch_page(session, deadline)?;
         let (bundle, report) = adapt_with_report(
             &self.spec,
             &page.body_text(),
@@ -190,14 +206,7 @@ impl ProxyServer {
         if let Some(existing) = self.user_bundles.lock().get(&session_id) {
             return Ok(Arc::clone(existing));
         }
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            return Err(ProxyError::from_origin_failure(&page));
-        }
+        let page = self.fetch_page(session, deadline)?;
         // Subpage generation does not re-render the snapshot.
         let mut spec = self.spec.clone();
         spec.snapshot = None;
@@ -286,6 +295,7 @@ impl ProxyServer {
         session_id: &str,
         name: &str,
         deadline: Deadline,
+        request: &Request,
     ) -> Result<Response, ProxyError> {
         // Expired shared snapshots are still served (marked stale) when
         // within the stale window; a fresh copy appears with the next
@@ -301,10 +311,15 @@ impl ProxyServer {
         // A shared image can be seconds away: snapshot images land when
         // the entry pipeline's flight completes, so join an in-flight
         // rebuild (within the request deadline) instead of answering
-        // 404 mid-render. No-op when nothing is in flight.
+        // 404 mid-render. The request resolves its fidelity tier as
+        // `GET /` does, naming the rebuild that produces its images.
+        // No-op when nothing is in flight.
         if self
             .cache
-            .join_flight("entry:html", Some(deadline.remaining()))
+            .join_flight(
+                &entry_key(self.request_tier(request)),
+                Some(deadline.remaining()),
+            )
             .is_some()
         {
             match self.cache.lookup(&key) {
@@ -360,14 +375,7 @@ impl ProxyServer {
         deadline: Deadline,
     ) -> Result<(Bytes, Duration), ProxyError> {
         let start = Instant::now();
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            return Err(ProxyError::from_origin_failure(&page));
-        }
+        let page = self.fetch_page(session, deadline)?;
         match self
             .engines
             .render_with_fallback(engine_name, &page.body_text())
@@ -482,6 +490,17 @@ impl ProxyServer {
             self.base(),
             msite_net::url::percent_encode(next)
         ))
+    }
+}
+
+/// The shared entry page's cache key. Tier-resolved entries are
+/// distinct artifacts (their image fidelity differs), so each tier gets
+/// its own key and single-flight lane; tier-less specs keep the bare
+/// key.
+pub(super) fn entry_key(tier: Option<msite_net::BandwidthClass>) -> String {
+    match tier {
+        Some(class) => format!("entry:html@{class}"),
+        None => "entry:html".to_string(),
     }
 }
 

@@ -88,7 +88,6 @@ pub(super) struct ProxyMetrics {
     pub(super) subtrees_reused: Arc<Counter>,
     pub(super) subtrees_recomputed: Arc<Counter>,
     pub(super) streamed_responses: Arc<Counter>,
-    pub(super) sessions_live: Arc<Gauge>,
     /// Session-store gauges (`msite_session_*`): live occupancy and
     /// the configured bound — the pair the health monitor reads to
     /// fold session pressure into its classification — plus the
@@ -120,7 +119,6 @@ impl ProxyMetrics {
             subtrees_reused: m.counter("msite_subtrees_reused_total", &[]),
             subtrees_recomputed: m.counter("msite_subtrees_recomputed_total", &[]),
             streamed_responses: m.counter("msite_proxy_streamed_responses_total", &[]),
-            sessions_live: m.gauge("msite_proxy_sessions_live", &[]),
             session_live: m.gauge("msite_session_live", &[]),
             session_max: m.gauge("msite_session_max", &[]),
             session_fs_bytes: m.gauge("msite_session_fs_bytes", &[]),
@@ -236,7 +234,6 @@ impl ProxyServer {
             .fold_to(png_encodes);
         m.counter("msite_png_encode_micros", &[])
             .fold_to(png_micros);
-        self.metrics.sessions_live.set(self.sessions.len() as i64);
         // Session store: gauges plus eviction counters by cause and
         // per-tenant occupancy. The store keeps its own atomics for
         // lock-striping reasons; `fold_to` keeps the sync idempotent.

@@ -8,12 +8,29 @@ use crate::engine::CachedRender;
 use crate::error::{ProxyError, DEGRADED_HEADER};
 use crate::session::SESSION_COOKIE;
 use msite_net::resilience::{is_breaker_rejection, Deadline, DEADLINE_HEADER};
-use msite_net::{Cookie, Method, Origin, Request, Response, Url};
+use msite_net::{BandwidthClass, Cookie, Method, Origin, Request, Response, Url};
 use msite_support::telemetry::{Trace, TRACE_HEADER};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 impl ProxyServer {
+    /// The fidelity tier a request resolves to when the spec carries a
+    /// fidelity-tier attribute: a pinned tier wins, else the client's
+    /// bandwidth header, else the User-Agent's device class (see
+    /// `content::fidelity`). Entries and their images share the tier's
+    /// cache key, so `/` and `/img/` resolve it the same way.
+    pub(super) fn request_tier(&self, request: &Request) -> Option<BandwidthClass> {
+        self.spec.fidelity_request().map(|explicit| {
+            crate::content::resolve_tier(
+                explicit,
+                request
+                    .headers
+                    .get(crate::content::fidelity::BANDWIDTH_HEADER),
+                request.headers.get("user-agent").unwrap_or(""),
+            )
+        })
+    }
+
     fn handle_inner(&self, request: &Request) -> Response {
         let base = self.base();
         // One wall-clock budget per request, shared by the retry loop
@@ -46,7 +63,6 @@ impl ProxyServer {
         if created {
             self.metrics.sessions_created.inc();
         }
-        self.metrics.sessions_live.set(self.sessions.len() as i64);
         self.metrics.session_live.set(self.sessions.len() as i64);
         let session_id = session.lock().id.clone();
         let attach_cookie = |mut response: Response| -> Response {
@@ -71,19 +87,7 @@ impl ProxyServer {
         let response = match rest {
             "/" => {
                 burn(self.config.scripted_overhead);
-                // Resolve the fidelity tier up front when the spec
-                // carries a fidelity-tier attribute: a pinned tier
-                // wins, else the client's bandwidth header, else the
-                // User-Agent's device class (see `content::fidelity`).
-                let tier = self.spec.fidelity_request().map(|explicit| {
-                    crate::content::resolve_tier(
-                        explicit,
-                        request
-                            .headers
-                            .get(crate::content::fidelity::BANDWIDTH_HEADER),
-                        request.headers.get("user-agent").unwrap_or(""),
-                    )
-                });
+                let tier = self.request_tier(request);
                 if let Some(class) = tier {
                     self.telemetry
                         .metrics
@@ -160,7 +164,7 @@ impl ProxyServer {
             _ if rest.starts_with("/img/") => {
                 burn(self.config.scripted_overhead);
                 self.metrics.lightweight.inc();
-                match self.serve_image(&session_id, &rest[5..], deadline) {
+                match self.serve_image(&session_id, &rest[5..], deadline, request) {
                     Ok(r) => r,
                     Err(err) => fail(err),
                 }

@@ -16,21 +16,25 @@
 //! body; only the framing (and the client's TTFB) differs. In-process
 //! consumers drain the stream with [`Response::into_collected`].
 //!
-//! Streamed rebuilds participate in the cache's single-flight layer:
-//! the producer runs after `handle` returns, outside any closure-shaped
-//! flight, so the miss path claims leadership with
-//! [`RenderCache::try_lead`] and carries the resulting
-//! [`ExternalFlight`] into the producer, which
-//! [`complete`](ExternalFlight::complete)s it when the entry is built
-//! (or abandons it on failure, releasing the waiters to retry).
-//! Concurrent cold requests — streamed or batch — join that one flight
-//! instead of rendering again; exactly one render runs per cold entry.
+//! Streamed rebuilds go through the cache's single-flight layer like
+//! batch ones: [`RenderCache::lead_or_join`] either answers from the
+//! cache or another request's flight, or hands this request the leader
+//! handle, [`ExternalFlight`]. The producer runs after `handle` returns,
+//! so the handle travels into it and is
+//! [`complete`](ExternalFlight::complete)d when the entry is built. A
+//! failed origin fetch [`fail`](ExternalFlight::fail)s the flight, as a
+//! batch leader does, so waiters share the error instead of re-leading
+//! against a dead origin; a pipeline error after the response committed
+//! abandons it, releasing the waiters to retry. Concurrent cold requests
+//! — streamed or batch — join that one flight instead of rendering
+//! again; exactly one render runs per cold entry.
 
+use super::handlers::entry_key;
 use super::observability::publish_stage_timings_to;
 use super::ProxyServer;
 use crate::ajax::AjaxRegistry;
 use crate::attributes::AdaptationSpec;
-use crate::cache::{ExternalFlight, Lookup, RenderCache};
+use crate::cache::{Claim, ExternalFlight, RenderCache};
 use crate::error::ProxyError;
 use crate::pipeline::{adapt_streaming, EmitUnit, PipelineContext, PipelineReport};
 use crate::session::{Session, SessionFs};
@@ -63,9 +67,9 @@ struct StreamJob {
     ctx: PipelineContext,
     page_text: String,
     entry_ttl: Option<Duration>,
-    /// Single-flight leadership for `entry:html`, claimed before the
+    /// Single-flight leadership for the entry, claimed before the
     /// response was returned; completed with the built entry (waiters
-    /// get the bytes) or dropped on failure (waiters retry).
+    /// get the bytes) or dropped on a pipeline error (waiters retry).
     flight: ExternalFlight,
     cache: Arc<RenderCache>,
     fs: Arc<SessionFs>,
@@ -173,13 +177,13 @@ impl StreamJob {
 impl ProxyServer {
     /// `GET /` with `x-msite-stream: chunked`: progressive entry
     /// delivery. Cache hits stream the cached entry as a single chunk;
-    /// misses claim single-flight leadership of the `entry:html`
-    /// rebuild — or join the render already in flight (led by either a
-    /// batch or a streamed request) — so a cold stampede of streamed
-    /// requests runs exactly one pipeline. The leader fetches the
-    /// origin page up front (failures keep their batch status codes,
-    /// including the serve-stale degradation) and defers the pipeline
-    /// run to the transport's writer via the response's chunk producer.
+    /// misses lead the entry rebuild's flight — or join the one already
+    /// in flight (led by either a batch or a streamed request) — so a
+    /// cold stampede of streamed requests runs exactly one pipeline. The
+    /// leader fetches the origin page up front (failures keep their
+    /// batch status codes, including the serve-stale degradation) and
+    /// defers the pipeline run to the transport's writer via the
+    /// response's chunk producer.
     pub(super) fn streamed_entry(
         &self,
         session: &Arc<Mutex<Session>>,
@@ -187,64 +191,41 @@ impl ProxyServer {
     ) -> Result<Response, ProxyError> {
         let arrived = Instant::now();
         self.metrics.streamed_responses.inc();
-
-        let flight = loop {
-            // Fresh cached entry: stream it straight out.
-            if let Lookup::Fresh(entry) = self.cache.lookup("entry:html") {
+        let key = entry_key(None);
+        let stale =
+            |value, age| self.mark_stale(self.stream_bytes(value, arrived, "entry-stale"), age);
+        let degrade = |err| {
+            self.stale_fallback(&key, err)
+                .map(|(value, age)| stale(value, age))
+        };
+        let flight = match self
+            .cache
+            .lead_or_join::<ProxyError>(&key, Some(deadline.remaining()))
+        {
+            Claim::Led(flight) => flight,
+            Claim::Hit(entry) => {
                 self.metrics.lightweight.inc();
                 return Ok(self.stream_bytes(entry, arrived, "entry-cached"));
             }
-
-            // Claim the rebuild, or join whoever already leads it.
-            match self.cache.try_lead("entry:html") {
-                Some(flight) => break flight,
-                None => {
-                    if let Some(entry) = self
-                        .cache
-                        .join_flight("entry:html", Some(deadline.remaining()))
-                    {
-                        self.metrics.renders_coalesced.inc();
-                        return Ok(self.stream_bytes(entry, arrived, "entry-coalesced"));
-                    }
-                    // The flight vanished (leader finished or abandoned
-                    // before we parked, or a fresh entry raced in) or
-                    // our budget ran out. Re-check the cache; with the
-                    // budget gone, degrade rather than spin.
-                    if deadline.expired() {
-                        if let Lookup::Fresh(entry) = self.cache.lookup("entry:html") {
-                            self.metrics.lightweight.inc();
-                            return Ok(self.stream_bytes(entry, arrived, "entry-cached"));
-                        }
-                        if let Lookup::Stale { value, age } = self.cache.lookup("entry:html") {
-                            let response = self.stream_bytes(value, arrived, "entry-stale");
-                            return Ok(self.mark_stale(response, age));
-                        }
-                        return Err(ProxyError::DeadlineExceeded);
-                    }
-                }
+            Claim::Shared(entry) => {
+                self.metrics.renders_coalesced.inc();
+                return Ok(self.stream_bytes(entry, arrived, "entry-coalesced"));
             }
+            Claim::Stale { value, age } => return Ok(stale(value, age)),
+            Claim::TimedOut => return Err(ProxyError::DeadlineExceeded),
+            Claim::Failed(err) => return degrade(err),
         };
 
         // Leader path. Fetch before committing to a 200 so origin
         // failures keep their batch-path status codes and stale
-        // fallback; dropping `flight` on those returns abandons the
-        // rebuild so joined waiters retry instead of hanging.
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            let err = ProxyError::from_origin_failure(&page);
-            drop(flight);
-            if err.is_unavailability() {
-                if let Lookup::Stale { value, age } = self.cache.lookup("entry:html") {
-                    let response = self.stream_bytes(value, arrived, "entry-stale");
-                    return Ok(self.mark_stale(response, age));
-                }
+        // fallback; failing the flight hands waiters the same error.
+        let page = match self.fetch_page(session, deadline) {
+            Ok(page) => page,
+            Err(err) => {
+                flight.fail(err.clone());
+                return degrade(err);
             }
-            return Err(err);
-        }
+        };
 
         let job = StreamJob {
             spec: self.spec.clone(),

@@ -40,6 +40,9 @@ cargo test -q --offline -p msite --test cache_shard_prop
 cargo test -q --offline --test multi_user cold_stampede_collapses_to_one_render
 cargo test -q --offline --test multi_user streamed_cold_stampede_collapses_to_one_render
 cargo test -q --offline --test multi_user mixed_streamed_and_batch_stampede_still_renders_once
+cargo test -q --offline --test multi_user streamed_outage_stampede_fails_like_batch
+cargo test -q --offline --test content_scenarios tiered_image_requested_mid_rebuild_waits_for_the_rebuild
+cargo run --release --offline -p msite-bench --bin experiments -- burst
 
 echo "== seeded schedule-exploration smoke =="
 cargo test -q --offline -p msite --test cache_stampede schedule_exploration_smoke

@@ -16,11 +16,13 @@
 
 use msite::attributes::{AdaptationSpec, Attribute, Target};
 use msite::proxy::{ProxyConfig, ProxyServer};
-use msite_net::{http_get, http_request, HttpServer, OriginRef, Request, Response};
+use msite_net::{http_get, http_request, HttpServer, Origin, OriginRef, Request, Response};
 use msite_sites::{NewsConfig, NewsSite};
 use msite_support::telemetry::Telemetry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// One proxy + one HTTP server wired through a shared telemetry handle.
 struct Stack {
@@ -285,6 +287,70 @@ fn gallery_fidelity_tiers_scale_image_bytes_with_bandwidth() {
         "two tiers, two builds; the fallback request is a cache hit"
     );
     stack.down();
+}
+
+// --- Scenario 3b: a tiered image requested mid-rebuild waits for it ---
+
+#[test]
+fn tiered_image_requested_mid_rebuild_waits_for_the_rebuild() {
+    // The first origin fetch parks until released, so the image request
+    // lands while the 2G entry rebuild is in flight.
+    let news = news_origin();
+    let arrived = Arc::new(Barrier::new(2));
+    let release = Arc::new(Barrier::new(2));
+    let gated = Arc::new(AtomicBool::new(true));
+    let origin: OriginRef = {
+        let (arrived, release) = (Arc::clone(&arrived), Arc::clone(&release));
+        Arc::new(move |req: &Request| {
+            if gated.swap(false, Ordering::SeqCst) {
+                arrived.wait();
+                release.wait();
+            }
+            news.handle(req)
+        })
+    };
+    let proxy = Arc::new(ProxyServer::new(
+        spec_with(
+            "http://news.test/gallery",
+            vec![Attribute::FidelityTier { tier: None }],
+        ),
+        origin,
+        ProxyConfig::default(),
+    ));
+    let get_2g = |path: &str| {
+        let proxy = Arc::clone(&proxy);
+        let request = Request::get(&format!("http://p/m/t{path}"))
+            .unwrap()
+            .with_header("x-msite-bandwidth", "2g");
+        std::thread::spawn(move || proxy.handle(&request))
+    };
+
+    let entry = get_2g("/");
+    arrived.wait();
+    let image = get_2g("/img/fid1_2g.png");
+    // The image request's session marks it as routed. Joining a flight
+    // is an observation hook with no counter to wait on, so give it a
+    // moment to park: an early answer is then a wrong answer, while a
+    // slow thread can only make this check pass without testing.
+    while proxy.stats().sessions_created < 2 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        !image.is_finished(),
+        "the image request must join the 2G rebuild, not answer early"
+    );
+    release.wait();
+    let entry = entry.join().unwrap();
+    assert!(entry.status.is_success());
+    assert!(entry.body_text().contains("fid1_2g.png"));
+    let image = image.join().unwrap();
+    assert!(
+        image.status.is_success(),
+        "mid-rebuild image: {}",
+        image.status
+    );
+    assert!(image.body.starts_with(&[0x89, b'P', b'N', b'G']));
 }
 
 // --- Scenario 4: byte determinism across pipeline parallelism widths ---

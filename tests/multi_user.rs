@@ -3,9 +3,11 @@
 
 use msite::attributes::{AdaptationSpec, Attribute, SnapshotSpec, Target};
 use msite::proxy::{ProxyConfig, ProxyServer};
-use msite_net::{Origin, OriginRef, Request, Response};
+use msite_net::{Origin, OriginRef, Request, Response, Status};
 use msite_sites::{ForumConfig, ForumSite};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn deploy() -> (Arc<ForumSite>, Arc<ProxyServer>) {
     let site = Arc::new(ForumSite::new(ForumConfig::default()));
@@ -249,6 +251,57 @@ fn mixed_streamed_and_batch_stampede_still_renders_once() {
     );
     assert_eq!(stats.renders_coalesced, 7);
     assert_eq!(stats.streamed_responses, 4);
+}
+
+/// Eight cold `GET /` requests at once, streamed or batch, against an
+/// origin that takes 60 ms to answer 503. Returns the origin-call count
+/// and the sorted response statuses.
+fn outage_stampede(streamed: bool) -> (usize, Vec<u16>) {
+    use msite::proxy::STREAM_HEADER;
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    let origin: OriginRef = Arc::new(move |_req: &Request| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(60));
+        Response::error(Status::SERVICE_UNAVAILABLE, "outage")
+    });
+    let mut spec = AdaptationSpec::new("forum", "http://down.test/index.php");
+    spec.snapshot = Some(SnapshotSpec::default());
+    let proxy = Arc::new(ProxyServer::new(spec, origin, ProxyConfig::default()));
+    let gate = Arc::new(std::sync::Barrier::new(8));
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            let proxy = Arc::clone(&proxy);
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let mut req = Request::get("http://p/m/forum/").unwrap();
+                if streamed {
+                    req = req.with_header(STREAM_HEADER, "chunked");
+                }
+                gate.wait();
+                proxy.handle(&req).status.0
+            })
+        })
+        .collect();
+    let mut statuses: Vec<u16> = handles
+        .into_iter()
+        .map(|h| h.join().expect("no thread panics"))
+        .collect();
+    statuses.sort_unstable();
+    (calls.load(Ordering::SeqCst), statuses)
+}
+
+#[test]
+fn streamed_outage_stampede_fails_like_batch() {
+    let batch = outage_stampede(false);
+    assert_eq!(
+        batch,
+        (3, vec![502; 8]),
+        "batch: one leader plus its retries, its failure shared by all"
+    );
+    // The streamed leader fails its flight the same way, so waiters
+    // share the error instead of re-leading against the dead origin.
+    assert_eq!(outage_stampede(true), batch);
 }
 
 #[test]

@@ -249,7 +249,7 @@ fn entry_flow_reports_trace_and_exact_metrics() {
     assert_eq!(sample(&samples, "msite_cache_misses_total"), 1);
     assert_eq!(sample(&samples, "msite_cache_hits_total"), 1);
     assert_eq!(sample(&samples, "msite_proxy_request_micros_count"), 2);
-    assert_eq!(sample(&samples, "msite_proxy_sessions_live"), 1);
+    assert_eq!(sample(&samples, "msite_session_live"), 1);
     assert!(sample(&samples, "msite_server_served_total") >= 3);
     // The SWAR hot-path counters are process-wide and folded in at
     // scrape time: one origin fetch means the tokenizer chewed real
