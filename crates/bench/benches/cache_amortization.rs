@@ -2,7 +2,7 @@
 //! "server-side caching to amortize rendering costs across many client
 //! sessions".
 
-use msite::cache::RenderCache;
+use msite::cache::{CacheConfig, RenderCache};
 use msite_bench::fixtures;
 use msite_net::{Origin, OriginRef, Request};
 use msite_support::benchkit::Criterion;
@@ -56,7 +56,7 @@ fn bench_cache(c: &mut Criterion) {
     // Raw cache micro-costs.
     let mut micro = c.benchmark_group("render_cache_micro");
     micro.sample_size(30);
-    let cache = RenderCache::new(256);
+    let cache = RenderCache::new(CacheConfig::with_capacity(256));
     cache.put("k", vec![0u8; 64 * 1024], None, Duration::from_secs(2));
     micro.bench_function("hit", |b| b.iter(|| black_box(cache.get("k").is_some())));
     micro.bench_function("miss", |b| {

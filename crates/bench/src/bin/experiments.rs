@@ -137,12 +137,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
+    let every = which.is_empty() || which.contains(&"all");
     let want = |name: &str| {
         debug_assert!(
             EXPERIMENTS.contains(&name),
             "`{name}` missing from EXPERIMENTS"
         );
-        which.is_empty() || which.contains(&name) || which.contains(&"all")
+        every || which.contains(&name)
     };
 
     // Shape assertions accumulate here; any failure turns into a
@@ -840,25 +841,28 @@ fn main() -> ExitCode {
     }
 
     // Machine-readable perf trajectory: per-experiment wall clock plus
-    // the throughput sweep and the telemetry-overhead gate, one file
-    // per run, overwritten in place.
-    let bench_json = obj([
-        ("experiments", timings.to_json_value()),
-        ("throughput", results.throughput.to_json_value()),
-        ("telemetry", results.telemetry.to_json_value()),
-        ("streaming", results.streaming.to_json_value()),
-        ("durability", results.durability.to_json_value()),
-        ("capacity", results.capacity.to_json_value()),
-        ("hotpath", results.hotpath.to_json_value()),
-        ("content", results.content.to_json_value()),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_PR10.json", bench_json.to_pretty()) {
-        eprintln!("warning: could not write BENCH_PR10.json: {e}");
-    } else if !json {
-        println!(
-            "\nwrote BENCH_PR10.json ({} experiments timed)",
-            timings.entries.len()
-        );
+    // the throughput sweep and the telemetry-overhead gate, overwritten
+    // in place, and only by a run of every experiment: a named run
+    // would leave a partial record.
+    if every {
+        let bench_json = obj([
+            ("experiments", timings.to_json_value()),
+            ("throughput", results.throughput.to_json_value()),
+            ("telemetry", results.telemetry.to_json_value()),
+            ("streaming", results.streaming.to_json_value()),
+            ("durability", results.durability.to_json_value()),
+            ("capacity", results.capacity.to_json_value()),
+            ("hotpath", results.hotpath.to_json_value()),
+            ("content", results.content.to_json_value()),
+        ]);
+        if let Err(e) = std::fs::write("BENCH_PR10.json", bench_json.to_pretty()) {
+            eprintln!("warning: could not write BENCH_PR10.json: {e}");
+        } else if !json {
+            println!(
+                "\nwrote BENCH_PR10.json ({} experiments timed)",
+                timings.entries.len()
+            );
+        }
     }
 
     if failures.is_empty() {

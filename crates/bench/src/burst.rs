@@ -6,7 +6,7 @@
 //! churn by comparing a single-shard cache against the striped default.
 
 use crate::fixtures;
-use msite::cache::RenderCache;
+use msite::cache::{CacheConfig, RenderCache};
 use msite::proxy::{ProxyConfig, ProxyServer};
 use msite_net::{Origin, OriginRef, Request};
 use msite_support::thread::fan_out;
@@ -123,8 +123,11 @@ pub fn shard_contention(threads: usize, ops: usize) -> ContentionResult {
         elapsed.into_iter().max().unwrap_or_default()
     };
 
-    let single = RenderCache::with_shards(4096, Duration::ZERO, 1);
-    let striped = RenderCache::with_stale_window(4096, Duration::ZERO);
+    let single = RenderCache::new(CacheConfig {
+        shards: Some(1),
+        ..CacheConfig::with_capacity(4096)
+    });
+    let striped = RenderCache::new(CacheConfig::with_capacity(4096));
     ContentionResult {
         threads,
         ops,

@@ -339,9 +339,12 @@ fn issued_session_id(response: &msite_net::Response) -> Option<String> {
 pub fn run(config: &CapacityConfig) -> CapacityResult {
     assert!(config.tenants >= 1 && config.workers >= 1 && config.users >= config.workers);
     let telemetry = Telemetry::new();
+    // The shared store publishes its session series into the tenants'
+    // shared registry.
     let store = Arc::new(SessionStore::new(
         config.store.clone(),
-        Arc::new(msite::SessionFs::new()),
+        Arc::new(msite::SessionFs::new(&telemetry.metrics)),
+        Arc::clone(&telemetry.metrics),
     ));
     let proxies: Vec<Arc<ProxyServer>> = (0..config.tenants)
         .map(|i| {

@@ -43,15 +43,18 @@
 //! seed's global-LRU behavior.
 
 use crate::persist::{DiskFreshness, DiskTier};
+use msite_html::fingerprint::fnv1a;
 use msite_support::bytes::Bytes;
 use msite_support::sync::{Mutex, OnceValue};
+use msite_support::telemetry::{Counter, MetricsRegistry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cache statistics snapshot.
+/// Cache statistics snapshot, read from the `msite_cache_*_total`
+/// registry counters the cache bumps (caches on one registry share them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -82,15 +85,52 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
 
-    fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.expirations += other.expirations;
-        self.stale_hits += other.stale_hits;
-        self.coalesced += other.coalesced;
+/// Everything a [`RenderCache`] is built from.
+#[derive(Debug, Clone)]
+pub struct CacheConfig {
+    /// Total entry bound across all shards; must be positive.
+    pub capacity: usize,
+    /// How long expired entries stay servable past their TTL as the
+    /// stale fallback ([`Lookup::Stale`], [`Claim::Stale`]). Zero drops
+    /// them on first touch.
+    pub stale_window: Duration,
+    /// Lock stripes, clamped to `[1, capacity]` and sharing the capacity
+    /// evenly. `None` gives `capacity / 32` in `[1, 16]`: a cache of 32
+    /// entries or fewer is one global LRU.
+    pub shards: Option<usize>,
+    /// Persistent second tier: written behind, consulted on memory
+    /// misses, and its hot set preloaded at construction (warm restart).
+    pub disk: Option<Arc<DiskTier>>,
+    /// Registry to count into; `None` gives the cache a private one.
+    pub metrics: Option<Arc<MetricsRegistry>>,
+}
+
+impl CacheConfig {
+    /// A memory-only cache of `capacity` entries: no stale window,
+    /// default sharding, a private registry.
+    pub fn with_capacity(capacity: usize) -> CacheConfig {
+        CacheConfig {
+            capacity,
+            stale_window: Duration::ZERO,
+            shards: None,
+            disk: None,
+            metrics: None,
+        }
     }
+}
+
+/// The registry handles a cache counts into, interned at construction.
+struct CacheMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    expirations: Arc<Counter>,
+    stale_hits: Arc<Counter>,
+    coalesced: Arc<Counter>,
+    /// Entries preloaded from the disk tier (`None` when memory-only).
+    warm_loaded: Option<Arc<Counter>>,
 }
 
 struct Entry {
@@ -164,7 +204,6 @@ struct Inner {
     entries: HashMap<String, Entry>,
     flights: HashMap<String, Arc<InFlight>>,
     clock: u64,
-    stats: CacheStats,
     amortized: Duration,
     /// Test/harness clock offset added to `Instant::now()`, so TTL and
     /// stale-window behavior can be driven without real sleeps.
@@ -174,38 +213,6 @@ struct Inner {
 impl Inner {
     fn now(&self) -> Instant {
         Instant::now() + self.time_offset
-    }
-
-    /// Reads `key` under the shard lock. A fresh entry — and a stale one
-    /// when `take_stale` — has its recency refreshed (an entry serving
-    /// as degraded output must not be the next LRU victim); a dead entry
-    /// is dropped whichever API touched it. Counts only expirations;
-    /// hit/miss accounting is the caller's.
-    fn probe(&mut self, key: &str, stale_window: Duration, take_stale: bool) -> Probe {
-        let now = self.now();
-        self.clock += 1;
-        let clock = self.clock;
-        let Some(entry) = self.entries.get_mut(key) else {
-            return Probe::Absent;
-        };
-        let probe = match entry.standing(now, stale_window) {
-            Standing::Fresh => Probe::Fresh {
-                value: entry.value.clone(),
-                cost: entry.cost,
-            },
-            Standing::Stale(age) if take_stale => Probe::Stale {
-                value: entry.value.clone(),
-                age,
-            },
-            Standing::Stale(_) => return Probe::Absent,
-            Standing::Dead => {
-                self.entries.remove(key);
-                self.stats.expirations += 1;
-                return Probe::Absent;
-            }
-        };
-        entry.last_used = clock;
-        probe
     }
 }
 
@@ -222,7 +229,6 @@ impl Shard {
                 entries: HashMap::new(),
                 flights: HashMap::new(),
                 clock: 0,
-                stats: CacheStats::default(),
                 amortized: Duration::ZERO,
                 time_offset: Duration::ZERO,
             }),
@@ -315,6 +321,7 @@ struct Core {
     stale_window_micros: AtomicU64,
     /// Optional persistent second tier (write-behind + warm restart).
     disk: Option<Arc<DiskTier>>,
+    metrics: CacheMetrics,
 }
 
 impl Core {
@@ -322,16 +329,43 @@ impl Core {
         Duration::from_micros(self.stale_window_micros.load(Ordering::Relaxed))
     }
 
+    /// Reads `key` under its shard lock. A fresh entry — and a stale one
+    /// when `take_stale` — has its recency refreshed (an entry serving
+    /// as degraded output must not be the next LRU victim); a dead entry
+    /// is dropped whichever API touched it. Counts only expirations;
+    /// hit/miss accounting is the caller's.
+    fn probe(&self, inner: &mut Inner, key: &str, take_stale: bool) -> Probe {
+        let now = inner.now();
+        inner.clock += 1;
+        let clock = inner.clock;
+        let Some(entry) = inner.entries.get_mut(key) else {
+            return Probe::Absent;
+        };
+        let probe = match entry.standing(now, self.stale_window()) {
+            Standing::Fresh => Probe::Fresh {
+                value: entry.value.clone(),
+                cost: entry.cost,
+            },
+            Standing::Stale(age) if take_stale => Probe::Stale {
+                value: entry.value.clone(),
+                age,
+            },
+            Standing::Stale(_) => return Probe::Absent,
+            Standing::Dead => {
+                inner.entries.remove(key);
+                self.metrics.expirations.inc();
+                return Probe::Absent;
+            }
+        };
+        entry.last_used = clock;
+        probe
+    }
+
     fn shard_of(&self, key: &str) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in key.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01B3);
-        }
-        (hash % self.shards.len() as u64) as usize
+        (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     fn shard(&self, key: &str) -> &Shard {
@@ -368,7 +402,9 @@ impl Core {
             inner
                 .entries
                 .retain(|_, e| !matches!(e.standing(now, window), Standing::Dead));
-            inner.stats.expirations += (before - inner.entries.len()) as u64;
+            self.metrics
+                .expirations
+                .add((before - inner.entries.len()) as u64);
             if inner.entries.len() >= shard.capacity {
                 // Evict expired-but-stale entries before live ones;
                 // within a class, the least recently used goes.
@@ -382,7 +418,7 @@ impl Core {
                     .map(|(k, _)| k.clone())
                 {
                     inner.entries.remove(&victim);
-                    inner.stats.evictions += 1;
+                    self.metrics.evictions.inc();
                 }
             }
         }
@@ -405,9 +441,9 @@ impl Core {
 ///
 /// ```
 /// use std::time::Duration;
-/// use msite::cache::RenderCache;
+/// use msite::cache::{CacheConfig, RenderCache};
 ///
-/// let cache = RenderCache::new(128);
+/// let cache = RenderCache::new(CacheConfig::with_capacity(128));
 /// cache.put("forum:snapshot", b"png bytes".to_vec(),
 ///           Some(Duration::from_secs(3600)), Duration::from_millis(1800));
 /// assert!(cache.get("forum:snapshot").is_some());
@@ -415,82 +451,51 @@ impl Core {
 /// ```
 pub struct RenderCache {
     core: Arc<Core>,
-    /// Entries preloaded from the disk tier at construction.
-    warm_loaded: AtomicU64,
 }
 
 impl RenderCache {
-    /// Creates a cache bounded to `capacity` entries, with no stale
-    /// retention (expired entries drop on first touch).
+    /// Creates a cache from `config`, preloading the disk tier's hot
+    /// set when one is attached.
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> RenderCache {
-        RenderCache::with_stale_window(capacity, Duration::ZERO)
-    }
-
-    /// Creates a cache that keeps expired entries around for
-    /// `stale_window` past their TTL, reporting them via
-    /// [`Self::lookup`] as [`Lookup::Stale`]. The shard count defaults
-    /// to one shard per 32 entries of capacity, capped at 16; caches of
-    /// 32 entries or fewer get a single shard (global LRU, the seed's
-    /// semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_stale_window(capacity: usize, stale_window: Duration) -> RenderCache {
-        let shards = (capacity / 32).clamp(1, 16);
-        RenderCache::with_shards(capacity, stale_window, shards)
-    }
-
-    /// Creates a cache striped across exactly `shards` locks. `capacity`
-    /// is the *total* bound, distributed as evenly as possible across
-    /// shards (the first `capacity % shards` shards get one extra slot).
-    /// The shard count is clamped to `[1, capacity]` so every shard can
-    /// hold at least one entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_shards(capacity: usize, stale_window: Duration, shards: usize) -> RenderCache {
+    /// Panics when `config.capacity` is zero.
+    pub fn new(config: CacheConfig) -> RenderCache {
+        let CacheConfig {
+            capacity,
+            stale_window,
+            shards,
+            disk,
+            metrics,
+        } = config;
         assert!(capacity > 0, "cache capacity must be positive");
-        let count = shards.clamp(1, capacity);
-        let base = capacity / count;
-        let extra = capacity % count;
-        let shards: Vec<Shard> = (0..count)
-            .map(|i| Shard::new(base + usize::from(i < extra)))
+        let count = shards
+            .unwrap_or((capacity / 32).clamp(1, 16))
+            .clamp(1, capacity);
+        let shards = (0..count)
+            .map(|i| Shard::new(capacity / count + usize::from(i < capacity % count)))
             .collect();
-        RenderCache {
+        let registry = metrics.unwrap_or_default();
+        let counter = |name: &str| registry.counter(name, &[]);
+        let metrics = CacheMetrics {
+            hits: counter("msite_cache_hits_total"),
+            misses: counter("msite_cache_misses_total"),
+            evictions: counter("msite_cache_evictions_total"),
+            expirations: counter("msite_cache_expirations_total"),
+            stale_hits: counter("msite_cache_stale_hits_total"),
+            coalesced: counter("msite_cache_coalesced_total"),
+            warm_loaded: disk
+                .is_some()
+                .then(|| counter("msite_disk_warm_loaded_total")),
+        };
+        let cache = RenderCache {
             core: Arc::new(Core {
-                shards: shards.into_boxed_slice(),
+                shards,
                 stale_window_micros: AtomicU64::new(stale_window.as_micros() as u64),
-                disk: None,
+                disk,
+                metrics,
             }),
-            warm_loaded: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a cache backed by a persistent disk tier: inserts are
-    /// written behind to `tier`, memory misses are answered from disk
-    /// when a checksum-verified fresh artifact exists, and the hot set
-    /// (most recently persisted live entries, up to `capacity`) is
-    /// preloaded so a restarted proxy serves its working set without
-    /// re-rendering.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_disk_tier(
-        capacity: usize,
-        stale_window: Duration,
-        tier: Arc<DiskTier>,
-    ) -> RenderCache {
-        let mut cache = RenderCache::with_stale_window(capacity, stale_window);
-        Arc::get_mut(&mut cache.core)
-            .expect("a cache under construction is unshared")
-            .disk = Some(tier);
+        };
         cache.warm_load(capacity);
         cache
     }
@@ -498,7 +503,10 @@ impl RenderCache {
     /// Preloads the most recently persisted live artifacts into the
     /// memory tier (warm restart).
     fn warm_load(&self, limit: usize) {
-        let Some(tier) = &self.core.disk else { return };
+        let (Some(tier), Some(warm_loaded)) = (&self.core.disk, &self.core.metrics.warm_loaded)
+        else {
+            return;
+        };
         for key in tier.hot_keys(limit) {
             let Some(record) = tier.get(&key) else {
                 continue;
@@ -509,7 +517,7 @@ impl RenderCache {
                 self.core
                     .insert_locked(shard, &mut inner, &key, record.value, ttl, record.cost);
                 drop(inner);
-                self.warm_loaded.fetch_add(1, Ordering::Relaxed);
+                warm_loaded.inc();
             }
         }
     }
@@ -540,7 +548,11 @@ impl RenderCache {
 
     /// Entries preloaded from disk at construction (warm restart).
     pub fn warm_loaded(&self) -> u64 {
-        self.warm_loaded.load(Ordering::Relaxed)
+        self.core
+            .metrics
+            .warm_loaded
+            .as_ref()
+            .map_or(0, |c| c.get())
     }
 
     /// Blocks until the disk tier's write-behind queue has drained.
@@ -620,19 +632,20 @@ impl RenderCache {
     }
 
     fn lookup_at(&self, key: &str, allow_stale: bool) -> Lookup {
+        let metrics = &self.core.metrics;
         let mut inner = self.core.shard(key).inner.lock();
-        match inner.probe(key, self.stale_window(), allow_stale) {
+        match self.core.probe(&mut inner, key, allow_stale) {
             Probe::Fresh { value, cost } => {
-                inner.stats.hits += 1;
+                metrics.hits.inc();
                 inner.amortized += cost;
                 Lookup::Fresh(value)
             }
             Probe::Stale { value, age } => {
-                inner.stats.stale_hits += 1;
+                metrics.stale_hits.inc();
                 Lookup::Stale { value, age }
             }
             Probe::Absent => {
-                inner.stats.misses += 1;
+                metrics.misses.inc();
                 drop(inner);
                 self.lookup_disk(key, allow_stale)
             }
@@ -688,13 +701,13 @@ impl RenderCache {
     {
         let deadline = wait_budget.map(|budget| Instant::now() + budget);
         let shard = self.core.shard(key);
-        let window = self.stale_window();
+        let metrics = &self.core.metrics;
         let mut disk_checked = self.core.disk.is_none();
         let mut counted_miss = false;
         loop {
             let mut inner = shard.inner.lock();
-            if let Probe::Fresh { value, cost } = inner.probe(key, window, false) {
-                inner.stats.hits += 1;
+            if let Probe::Fresh { value, cost } = self.core.probe(&mut inner, key, false) {
+                metrics.hits.inc();
                 inner.amortized += cost;
                 return Claim::Hit(value);
             }
@@ -706,7 +719,7 @@ impl RenderCache {
                 continue;
             }
             if !std::mem::replace(&mut counted_miss, true) {
-                inner.stats.misses += 1;
+                metrics.misses.inc();
             }
             let Some(flight) = inner.flights.get(key).map(Arc::clone) else {
                 let flight = Arc::new(InFlight::default());
@@ -722,7 +735,7 @@ impl RenderCache {
             drop(inner);
             match flight.wait(deadline) {
                 Some(Ok(value)) => {
-                    shard.inner.lock().stats.coalesced += 1;
+                    metrics.coalesced.inc();
                     return Claim::Shared(value);
                 }
                 Some(Err(error)) => match error.downcast_ref::<E>() {
@@ -740,13 +753,13 @@ impl RenderCache {
             // in the instant the wait gave up — that still counts as
             // coalesced.
             let mut inner = shard.inner.lock();
-            return match inner.probe(key, window, true) {
+            return match self.core.probe(&mut inner, key, true) {
                 Probe::Fresh { value, .. } => {
-                    inner.stats.coalesced += 1;
+                    metrics.coalesced.inc();
                     Claim::Shared(value)
                 }
                 Probe::Stale { value, age } => {
-                    inner.stats.stale_hits += 1;
+                    metrics.stale_hits.inc();
                     Claim::Stale { value, age }
                 }
                 Probe::Absent => Claim::TimedOut,
@@ -868,13 +881,17 @@ impl RenderCache {
         self.len() == 0
     }
 
-    /// Statistics so far, aggregated across shards.
+    /// Statistics so far, read from the registry counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in self.core.shards.iter() {
-            total.absorb(shard.inner.lock().stats);
+        let m = &self.core.metrics;
+        CacheStats {
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            evictions: m.evictions.get(),
+            expirations: m.expirations.get(),
+            stale_hits: m.stale_hits.get(),
+            coalesced: m.coalesced.get(),
         }
-        total
     }
 
     /// Total rendering time saved by cache hits — the paper's
@@ -964,14 +981,16 @@ impl std::fmt::Debug for ExternalFlight {
 // Fingerprint-keyed subtree tier
 // ---------------------------------------------------------------------------
 
-/// Statistics snapshot for a [`SubtreeCache`].
+/// Statistics snapshot for a [`SubtreeCache`], read from its registry
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubtreeCacheStats {
-    /// Lookups that found a cached artifact.
+    /// Lookups that found a cached artifact, i.e. subpages reused
+    /// (`msite_subtrees_reused_total`).
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing (`msite_subtrees_recomputed_total`).
     pub misses: u64,
-    /// Artifacts evicted by the LRU bound.
+    /// LRU evictions (`msite_subtree_cache_evictions_total`).
     pub evictions: u64,
 }
 
@@ -983,7 +1002,6 @@ struct SubtreeEntry {
 struct SubtreeInner {
     map: HashMap<u64, SubtreeEntry>,
     tick: u64,
-    stats: SubtreeCacheStats,
 }
 
 /// The incremental re-adaptation tier: finished per-subtree artifacts
@@ -1001,29 +1019,39 @@ struct SubtreeInner {
 pub struct SubtreeCache {
     inner: Mutex<SubtreeInner>,
     capacity: usize,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
 }
 
 impl std::fmt::Debug for SubtreeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("SubtreeCache")
             .field("capacity", &self.capacity)
-            .field("len", &inner.map.len())
-            .field("stats", &inner.stats)
+            .field("len", &self.len())
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl SubtreeCache {
-    /// Creates a tier bounded to `capacity` artifacts (min 1).
+    /// Creates a tier bounded to `capacity` artifacts (min 1), counting
+    /// into a private registry.
     pub fn new(capacity: usize) -> SubtreeCache {
+        SubtreeCache::with_metrics(capacity, &MetricsRegistry::new())
+    }
+
+    /// [`SubtreeCache::new`], counting into `registry`.
+    pub fn with_metrics(capacity: usize, registry: &MetricsRegistry) -> SubtreeCache {
         SubtreeCache {
             inner: Mutex::new(SubtreeInner {
                 map: HashMap::new(),
                 tick: 0,
-                stats: SubtreeCacheStats::default(),
             }),
             capacity: capacity.max(1),
+            hits: registry.counter("msite_subtrees_reused_total", &[]),
+            misses: registry.counter("msite_subtrees_recomputed_total", &[]),
+            evictions: registry.counter("msite_subtree_cache_evictions_total", &[]),
         }
     }
 
@@ -1036,11 +1064,11 @@ impl SubtreeCache {
             Some(entry) => {
                 entry.last_used = tick;
                 let value = Arc::clone(&entry.value);
-                inner.stats.hits += 1;
+                self.hits.inc();
                 Some(value)
             }
             None => {
-                inner.stats.misses += 1;
+                self.misses.inc();
                 None
             }
         }
@@ -1069,7 +1097,7 @@ impl SubtreeCache {
                 break;
             };
             inner.map.remove(&oldest);
-            inner.stats.evictions += 1;
+            self.evictions.inc();
         }
     }
 
@@ -1090,7 +1118,11 @@ impl SubtreeCache {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> SubtreeCacheStats {
-        self.inner.lock().stats
+        SubtreeCacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+        }
     }
 }
 
@@ -1102,7 +1134,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put("a", b"one".to_vec(), None, Duration::ZERO);
         assert_eq!(cache.get("a").as_deref(), Some(&b"one"[..]));
         assert_eq!(cache.get("b"), None);
@@ -1112,7 +1144,7 @@ mod tests {
 
     #[test]
     fn ttl_expires_entries() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put(
             "x",
             b"v".to_vec(),
@@ -1127,7 +1159,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let cache = RenderCache::new(2);
+        let cache = RenderCache::new(CacheConfig::with_capacity(2));
         cache.put("a", b"1".to_vec(), None, Duration::ZERO);
         cache.put("b", b"2".to_vec(), None, Duration::ZERO);
         let _ = cache.get("a"); // refresh a
@@ -1140,7 +1172,7 @@ mod tests {
 
     #[test]
     fn overwrite_same_key_no_eviction() {
-        let cache = RenderCache::new(2);
+        let cache = RenderCache::new(CacheConfig::with_capacity(2));
         cache.put("a", b"1".to_vec(), None, Duration::ZERO);
         cache.put("b", b"2".to_vec(), None, Duration::ZERO);
         cache.put("a", b"1b".to_vec(), None, Duration::ZERO);
@@ -1151,7 +1183,7 @@ mod tests {
 
     #[test]
     fn get_or_insert_computes_once() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         let mut calls = 0;
         for _ in 0..3 {
             let v = cache.get_or_insert_with("k", None, || {
@@ -1167,7 +1199,10 @@ mod tests {
 
     #[test]
     fn stale_entries_rerender_and_serve_only_as_fallback() {
-        let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: Duration::from_secs(60),
+            ..CacheConfig::with_capacity(4)
+        });
         let ttl = Some(Duration::from_secs(1));
         cache.put("k", b"old".to_vec(), ttl, Duration::ZERO);
         cache.advance_clock(Duration::from_secs(10));
@@ -1205,7 +1240,7 @@ mod tests {
 
     #[test]
     fn dropped_leader_handle_sends_a_render_flight_waiter_to_lead() {
-        let cache = RenderCache::new(8);
+        let cache = RenderCache::new(CacheConfig::with_capacity(8));
         let produced = AtomicUsize::new(0);
         let Claim::Led(leader) = cache.lead_or_join::<()>("k", None) else {
             panic!("a cold key must elect a leader");
@@ -1235,7 +1270,7 @@ mod tests {
         struct Boom;
 
         const N: u64 = 3;
-        let cache = RenderCache::new(8);
+        let cache = RenderCache::new(CacheConfig::with_capacity(8));
         let Claim::Led(leader) = cache.lead_or_join::<Boom>("k", None) else {
             panic!("a cold key must elect a leader");
         };
@@ -1259,7 +1294,7 @@ mod tests {
 
     #[test]
     fn panicking_closure_leader_promotes_a_lead_or_join_waiter() {
-        let cache = RenderCache::new(8);
+        let cache = RenderCache::new(CacheConfig::with_capacity(8));
         std::thread::scope(|s| {
             let crashed = s.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1289,7 +1324,7 @@ mod tests {
 
     #[test]
     fn amortization_accumulates_per_hit() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put("snap", b"png".to_vec(), None, Duration::from_secs(2));
         for _ in 0..5 {
             let _ = cache.get("snap");
@@ -1299,7 +1334,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache = Arc::new(RenderCache::new(64));
+        let cache = Arc::new(RenderCache::new(CacheConfig::with_capacity(64)));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let cache = Arc::clone(&cache);
@@ -1323,7 +1358,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_clear() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put("a", b"1".to_vec(), None, Duration::ZERO);
         cache.invalidate("a");
         assert!(cache.get("a").is_none());
@@ -1334,7 +1369,10 @@ mod tests {
 
     #[test]
     fn stale_window_serves_expired_via_lookup_only() {
-        let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: Duration::from_secs(60),
+            ..CacheConfig::with_capacity(4)
+        });
         cache.put(
             "snap",
             b"png".to_vec(),
@@ -1364,7 +1402,10 @@ mod tests {
 
     #[test]
     fn refreshing_put_revives_stale_entry() {
-        let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: Duration::from_secs(60),
+            ..CacheConfig::with_capacity(4)
+        });
         cache.put(
             "k",
             b"old".to_vec(),
@@ -1384,7 +1425,7 @@ mod tests {
 
     #[test]
     fn hit_ratio() {
-        let cache = RenderCache::new(4);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put("a", b"1".to_vec(), None, Duration::ZERO);
         let _ = cache.get("a");
         let _ = cache.get("a");
@@ -1396,7 +1437,10 @@ mod tests {
 
     #[test]
     fn hit_ratio_counts_stale_lookups_in_denominator() {
-        let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: Duration::from_secs(60),
+            ..CacheConfig::with_capacity(4)
+        });
         cache.put(
             "a",
             b"1".to_vec(),
@@ -1420,7 +1464,7 @@ mod tests {
 
     #[test]
     fn expired_entries_are_pruned_before_evicting_live_ones() {
-        let cache = RenderCache::new(2);
+        let cache = RenderCache::new(CacheConfig::with_capacity(2));
         cache.put(
             "dead",
             b"x".to_vec(),
@@ -1446,7 +1490,10 @@ mod tests {
 
     #[test]
     fn stale_entries_are_evicted_before_fresh_ones() {
-        let cache = RenderCache::with_stale_window(2, Duration::from_secs(100));
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: Duration::from_secs(100),
+            ..CacheConfig::with_capacity(2)
+        });
         cache.put(
             "stale",
             b"x".to_vec(),
@@ -1467,7 +1514,10 @@ mod tests {
     #[test]
     fn shard_capacities_sum_to_total() {
         for (capacity, shards) in [(7, 3), (16, 4), (256, 8), (5, 10), (1, 1)] {
-            let cache = RenderCache::with_shards(capacity, Duration::ZERO, shards);
+            let cache = RenderCache::new(CacheConfig {
+                shards: Some(shards),
+                ..CacheConfig::with_capacity(capacity)
+            });
             assert!(cache.shard_count() <= capacity);
             let total: usize = (0..cache.shard_count())
                 .map(|i| cache.shard_capacity(i))
@@ -1478,9 +1528,18 @@ mod tests {
 
     #[test]
     fn small_caches_collapse_to_one_shard() {
-        assert_eq!(RenderCache::new(2).shard_count(), 1);
-        assert_eq!(RenderCache::new(32).shard_count(), 1);
-        assert_eq!(RenderCache::new(256).shard_count(), 8);
+        assert_eq!(
+            RenderCache::new(CacheConfig::with_capacity(2)).shard_count(),
+            1
+        );
+        assert_eq!(
+            RenderCache::new(CacheConfig::with_capacity(32)).shard_count(),
+            1
+        );
+        assert_eq!(
+            RenderCache::new(CacheConfig::with_capacity(256)).shard_count(),
+            8
+        );
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! spirit of `FlakyOrigin` — seeded torn writes, bit flips, `ENOSPC`,
 //! and slow fsync.
 
+use msite_html::fingerprint::fnv1a;
 use msite_support::bytes::Bytes;
 use msite_support::sync::{Condvar, Mutex};
+use msite_support::telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,15 +47,6 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"MSJ1";
 /// treated as corruption during replay.
 pub const MAX_RECORD_BYTES: usize = 1 << 20;
 const JOURNAL: &str = "index.journal";
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01B3);
-    }
-    hash
-}
 
 fn unix_millis_now() -> u64 {
     SystemTime::now()
@@ -513,7 +506,8 @@ impl Default for DiskTierConfig {
     }
 }
 
-/// Counters a [`DiskTier`] accumulates over its lifetime.
+/// Counters a [`DiskTier`] accumulates over its lifetime, read from its
+/// registry series (`msite_disk_<field>_total`, `msite_disk_live_bytes`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskTierStats {
     /// Reads answered from the tier with a checksum-verified artifact.
@@ -598,18 +592,25 @@ struct WriteQueue {
     in_flight: AtomicU64,
 }
 
+/// The registry handles a tier counts into.
+struct DiskMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    puts: Arc<Counter>,
+    put_errors: Arc<Counter>,
+    quarantined: Arc<Counter>,
+    replayed: Arc<Counter>,
+    segments_dropped: Arc<Counter>,
+    /// Artifact bytes currently indexed; moves with every index change.
+    live_bytes: Arc<Gauge>,
+}
+
 struct TierShared {
     backend: Arc<dyn DiskBackend>,
     config: DiskTierConfig,
     state: Mutex<TierState>,
     queue: WriteQueue,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    put_errors: AtomicU64,
-    quarantined: AtomicU64,
-    replayed: AtomicU64,
-    segments_dropped: AtomicU64,
+    metrics: DiskMetrics,
 }
 
 /// The persistent artifact tier: checksummed segments plus an
@@ -621,14 +622,16 @@ struct TierShared {
 /// use std::sync::Arc;
 /// use std::time::Duration;
 /// use msite::persist::{DiskTier, DiskTierConfig, MemDisk};
+/// use msite_support::telemetry::MetricsRegistry;
 ///
 /// let disk = MemDisk::new();
-/// let tier = DiskTier::open(Arc::new(disk.clone()), DiskTierConfig::default());
+/// let registry = MetricsRegistry::new();
+/// let tier = DiskTier::open(Arc::new(disk.clone()), DiskTierConfig::default(), &registry);
 /// tier.put("entry:html", b"<html/>".to_vec(), None, Duration::from_millis(40));
 /// tier.flush();
 ///
 /// // A "restarted" tier over the same bytes recovers the artifact.
-/// let revived = DiskTier::open(Arc::new(disk), DiskTierConfig::default());
+/// let revived = DiskTier::open(Arc::new(disk), DiskTierConfig::default(), &registry);
 /// let record = revived.get("entry:html").expect("survived restart");
 /// assert_eq!(record.value.as_ref(), b"<html/>");
 /// ```
@@ -638,20 +641,34 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Opens the tier over `backend`, replaying the index journal.
-    /// Corrupt records are quarantined and skipped; replay never
-    /// panics and never fails — worst case the tier starts cold.
-    pub fn open(backend: Arc<dyn DiskBackend>, config: DiskTierConfig) -> DiskTier {
-        let mut quarantined = 0u64;
-        let mut replayed = 0u64;
+    /// Opens the tier over `backend`, replaying the index journal, and
+    /// counts into `registry`. Corrupt records are quarantined and
+    /// skipped; replay never panics and never fails — worst case the
+    /// tier starts cold.
+    pub fn open(
+        backend: Arc<dyn DiskBackend>,
+        config: DiskTierConfig,
+        registry: &MetricsRegistry,
+    ) -> DiskTier {
+        let counter = |name: &str| registry.counter(name, &[]);
+        let metrics = DiskMetrics {
+            hits: counter("msite_disk_hits_total"),
+            misses: counter("msite_disk_misses_total"),
+            puts: counter("msite_disk_puts_total"),
+            put_errors: counter("msite_disk_put_errors_total"),
+            quarantined: counter("msite_disk_quarantined_total"),
+            replayed: counter("msite_disk_replayed_total"),
+            segments_dropped: counter("msite_disk_segments_dropped_total"),
+            live_bytes: registry.gauge("msite_disk_live_bytes", &[]),
+        };
         let journal = backend.read(JOURNAL).unwrap_or_default();
-        let (records, bad) = replay_journal(&journal);
-        quarantined += bad;
+        let (records, quarantined) = replay_journal(&journal);
+        metrics.quarantined.add(quarantined);
+        metrics.replayed.add(records.len() as u64);
         let mut index: HashMap<String, IndexEntry> = HashMap::new();
         let mut sequence = 0u64;
         for (key, entry) in records {
             sequence = sequence.max(entry.sequence);
-            replayed += 1;
             if entry.segment == TOMBSTONE_SEGMENT {
                 index.remove(&key);
             } else {
@@ -668,6 +685,9 @@ impl DiskTier {
             }
         }
         index.retain(|_, e| segments.contains_key(&e.segment));
+        metrics
+            .live_bytes
+            .add(index.values().map(|e| i64::from(e.len)).sum());
         let current_segment = segments.keys().next_back().copied().unwrap_or(0);
         let shared = Arc::new(TierShared {
             backend,
@@ -685,13 +705,7 @@ impl DiskTier {
                 stop: AtomicBool::new(false),
                 in_flight: AtomicU64::new(0),
             },
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            put_errors: AtomicU64::new(0),
-            quarantined: AtomicU64::new(quarantined),
-            replayed: AtomicU64::new(replayed),
-            segments_dropped: AtomicU64::new(0),
+            metrics,
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -727,7 +741,9 @@ impl DiskTier {
     /// resurrect it. The segment bytes are reclaimed only when their
     /// segment rotates out.
     pub fn forget(&self, key: &str) {
-        self.shared.state.lock().index.remove(key);
+        if let Some(entry) = self.shared.state.lock().index.remove(key) {
+            self.shared.metrics.live_bytes.sub(i64::from(entry.len));
+        }
         self.enqueue(WriteJob {
             key: key.to_string(),
             value: Bytes::new(),
@@ -762,8 +778,9 @@ impl DiskTier {
             let state = self.shared.state.lock();
             state.index.get(key).cloned()
         };
+        let metrics = &self.shared.metrics;
         let Some(entry) = entry else {
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
+            metrics.misses.inc();
             return None;
         };
         let name = segment_name(entry.segment);
@@ -772,7 +789,7 @@ impl DiskTier {
             .backend
             .read_at(&name, entry.offset, entry.len as usize)
             .ok();
-        let verified = bytes.filter(|b| fnv64(b) == entry.checksum);
+        let verified = bytes.filter(|b| fnv1a(b) == entry.checksum);
         let Some(bytes) = verified else {
             // Quarantine: drop the index entry so we never trust it
             // again, count it, and report a miss.
@@ -783,10 +800,11 @@ impl DiskTier {
                 .is_some_and(|e| e.sequence == entry.sequence)
             {
                 state.index.remove(key);
+                metrics.live_bytes.sub(i64::from(entry.len));
             }
             drop(state);
-            self.shared.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
+            metrics.quarantined.inc();
+            metrics.misses.inc();
             return None;
         };
         let freshness = if entry.expires_unix_ms == u64::MAX {
@@ -799,7 +817,7 @@ impl DiskTier {
                 DiskFreshness::Expired(Duration::from_millis(now - entry.expires_unix_ms))
             }
         };
-        self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        metrics.hits.inc();
         Some(DiskRecord {
             value: Bytes::from(bytes),
             freshness,
@@ -841,19 +859,16 @@ impl DiskTier {
 
     /// Counters so far.
     pub fn stats(&self) -> DiskTierStats {
-        let live_bytes = {
-            let state = self.shared.state.lock();
-            state.index.values().map(|e| u64::from(e.len)).sum()
-        };
+        let m = &self.shared.metrics;
         DiskTierStats {
-            hits: self.shared.hits.load(Ordering::Relaxed),
-            misses: self.shared.misses.load(Ordering::Relaxed),
-            puts: self.shared.puts.load(Ordering::Relaxed),
-            put_errors: self.shared.put_errors.load(Ordering::Relaxed),
-            quarantined: self.shared.quarantined.load(Ordering::Relaxed),
-            replayed: self.shared.replayed.load(Ordering::Relaxed),
-            segments_dropped: self.shared.segments_dropped.load(Ordering::Relaxed),
-            live_bytes,
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            puts: m.puts.get(),
+            put_errors: m.put_errors.get(),
+            quarantined: m.quarantined.get(),
+            replayed: m.replayed.get(),
+            segments_dropped: m.segments_dropped.get(),
+            live_bytes: m.live_bytes.get().max(0) as u64,
         }
     }
 }
@@ -861,7 +876,12 @@ impl DiskTier {
 impl Drop for DiskTier {
     fn drop(&mut self) {
         self.flush();
+        // Set the flag under the queue lock: the writer checks it under
+        // that lock before it waits, so the wakeup below cannot land in
+        // between and leave it parked (and this join hung) forever.
+        let jobs = self.shared.queue.jobs.lock();
         self.shared.queue.stop.store(true, Ordering::Relaxed);
+        drop(jobs);
         self.shared.queue.ready.notify_all();
         if let Some(handle) = self.writer.lock().take() {
             let _ = handle.join();
@@ -915,6 +935,7 @@ fn writer_loop(shared: &TierShared) {
 }
 
 fn persist_one(shared: &TierShared, job: &WriteJob) {
+    let metrics = &shared.metrics;
     if job.tombstone {
         let record = {
             let mut state = shared.state.lock();
@@ -931,7 +952,7 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
             encode_record(&job.key, &entry)
         };
         if shared.backend.append(JOURNAL, &record).is_err() {
-            shared.put_errors.fetch_add(1, Ordering::Relaxed);
+            metrics.put_errors.inc();
         }
         return;
     }
@@ -961,9 +982,17 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
                 break;
             }
             state.segments.remove(&oldest);
-            state.index.retain(|_, e| e.segment != oldest);
+            let mut dropped = 0;
+            state.index.retain(|_, e| {
+                let keep = e.segment != oldest;
+                if !keep {
+                    dropped += i64::from(e.len);
+                }
+                keep
+            });
+            metrics.live_bytes.sub(dropped);
             let _ = shared.backend.remove(&segment_name(oldest));
-            shared.segments_dropped.fetch_add(1, Ordering::Relaxed);
+            metrics.segments_dropped.inc();
         }
         state.current_segment
     };
@@ -974,12 +1003,12 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
     let offset = match shared.backend.size(&name) {
         Ok(size) => size,
         Err(_) => {
-            shared.put_errors.fetch_add(1, Ordering::Relaxed);
+            metrics.put_errors.inc();
             return;
         }
     };
     if shared.backend.append(&name, job.value.as_ref()).is_err() {
-        shared.put_errors.fetch_add(1, Ordering::Relaxed);
+        metrics.put_errors.inc();
         return;
     }
     let written = shared.backend.size(&name).unwrap_or(offset);
@@ -992,28 +1021,31 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
             segment,
             offset,
             len: job.value.len() as u32,
-            checksum: fnv64(job.value.as_ref()),
+            checksum: fnv1a(job.value.as_ref()),
             expires_unix_ms: job.expires_unix_ms,
             cost_micros: job.cost_micros,
             sequence,
         };
         let record = encode_record(&job.key, &entry);
-        state.index.insert(job.key.clone(), entry);
+        metrics.live_bytes.add(i64::from(entry.len));
+        if let Some(old) = state.index.insert(job.key.clone(), entry) {
+            metrics.live_bytes.sub(i64::from(old.len));
+        }
         record
     };
     if shared.backend.append(JOURNAL, &record).is_err() {
         // The artifact landed but its index record did not: the current
         // process can still serve it (index updated above); a restart
         // simply will not know about it.
-        shared.put_errors.fetch_add(1, Ordering::Relaxed);
+        metrics.put_errors.inc();
         return;
     }
     let _ = shared.backend.sync(&name);
     let _ = shared.backend.sync(JOURNAL);
-    shared.puts.fetch_add(1, Ordering::Relaxed);
+    metrics.puts.inc();
 }
 
-/// `MAGIC | payload_len(u32) | fnv64(payload) | payload`, little endian.
+/// `MAGIC | payload_len(u32) | fnv1a(payload) | payload`, little endian.
 fn encode_record(key: &str, entry: &IndexEntry) -> Vec<u8> {
     let key_bytes = key.as_bytes();
     let mut payload = Vec::with_capacity(key_bytes.len() + 40);
@@ -1029,7 +1061,7 @@ fn encode_record(key: &str, entry: &IndexEntry) -> Vec<u8> {
     let mut record = Vec::with_capacity(payload.len() + 16);
     record.extend_from_slice(&JOURNAL_MAGIC);
     record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    record.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     record.extend_from_slice(&payload);
     record
 }
@@ -1091,7 +1123,7 @@ fn replay_journal(buf: &[u8]) -> (Vec<(String, IndexEntry)>, u64) {
         let body_start = pos + 16;
         let valid = len <= MAX_RECORD_BYTES
             && body_start + len <= buf.len()
-            && fnv64(&buf[body_start..body_start + len]) == checksum;
+            && fnv1a(&buf[body_start..body_start + len]) == checksum;
         let decoded = if valid {
             decode_payload(&buf[body_start..body_start + len])
         } else {
@@ -1125,6 +1157,7 @@ mod tests {
         DiskTier::open(
             Arc::new(disk.clone()),
             DiskTierConfig::with_capacity(1 << 20),
+            &MetricsRegistry::new(),
         )
     }
 
@@ -1204,6 +1237,7 @@ mod tests {
         let tier = DiskTier::open(
             Arc::clone(&flaky) as Arc<dyn DiskBackend>,
             DiskTierConfig::with_capacity(1 << 20),
+            &MetricsRegistry::new(),
         );
         tier.put("k", b"twelve bytes".to_vec(), None, Duration::ZERO);
         tier.flush();
@@ -1221,6 +1255,7 @@ mod tests {
         let tier = DiskTier::open(
             Arc::clone(&flaky) as Arc<dyn DiskBackend>,
             DiskTierConfig::with_capacity(1 << 20),
+            &MetricsRegistry::new(),
         );
         tier.put("k", b"value".to_vec(), None, Duration::ZERO);
         tier.flush();
@@ -1238,6 +1273,7 @@ mod tests {
                 capacity_bytes: 4096,
                 segment_bytes: 1024,
             },
+            &MetricsRegistry::new(),
         );
         for i in 0..32 {
             tier.put(&format!("k{i}"), vec![i as u8; 512], None, Duration::ZERO);
@@ -1283,12 +1319,20 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let fs = FsDisk::open(&dir).unwrap();
-        let tier = DiskTier::open(Arc::new(fs), DiskTierConfig::with_capacity(1 << 20));
+        let tier = DiskTier::open(
+            Arc::new(fs),
+            DiskTierConfig::with_capacity(1 << 20),
+            &MetricsRegistry::new(),
+        );
         tier.put("k", b"fs bytes".to_vec(), None, Duration::from_millis(1));
         tier.flush();
         drop(tier);
         let fs = FsDisk::open(&dir).unwrap();
-        let revived = DiskTier::open(Arc::new(fs), DiskTierConfig::with_capacity(1 << 20));
+        let revived = DiskTier::open(
+            Arc::new(fs),
+            DiskTierConfig::with_capacity(1 << 20),
+            &MetricsRegistry::new(),
+        );
         assert_eq!(revived.get("k").unwrap().value.as_ref(), b"fs bytes");
         drop(revived);
         let _ = std::fs::remove_dir_all(&dir);

@@ -19,6 +19,7 @@ impl Stage for DomStage {
 
     fn run(&self, state: &mut PipelineState<'_>) -> Result<StageOutcome, AdaptError> {
         state.stats.dom_parsed = true;
+        state.renderer.count_parsed(&state.source);
         let doc = tidy::tidy(&state.source);
         // Fingerprint and/or measure every subtree of the clean parse
         // *before* the attribute stage mutates the tree: fingerprints

@@ -185,9 +185,10 @@ pub struct PipelineContext {
     /// builds for the next run. `None` (the default) recomputes
     /// everything — the behavior standalone pipeline runs keep.
     pub subtree_cache: Option<std::sync::Arc<crate::cache::SubtreeCache>>,
-    /// Registry the emit stage bumps its incremental counters into
-    /// (`msite_subtrees_reused_total` / `msite_subtrees_recomputed_total`).
-    /// `None` skips the bumps.
+    /// Registry the run counts its work into: HTML bytes handed to the
+    /// parser or browser (`msite_tokenizer_bytes_total`), PNG encodes
+    /// (`msite_png_encodes_total`, `msite_png_encode_micros`), browser
+    /// renders and stripped blocks. `None` skips the counts.
     pub metrics: Option<std::sync::Arc<msite_support::telemetry::MetricsRegistry>>,
     /// Resolved bandwidth class for `fidelity-tier auto` attributes
     /// (the proxy resolves it per request from the client's header or

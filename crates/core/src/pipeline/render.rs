@@ -1,18 +1,21 @@
 //! Render support: the lazily launched server-side browser and the
 //! partial-CSS pre-render recipe. The [`Renderer`] accumulates the time
 //! spent inside the browser so the driver can attribute it to the
-//! dedicated render stage instead of whichever phase triggered it.
+//! dedicated render stage instead of whichever phase triggered it, and
+//! counts the run's parser and PNG encoder work on
+//! [`PipelineContext::metrics`](super::PipelineContext::metrics).
 
 use super::edit::standalone_object_page;
 use super::GeneratedImage;
 use msite_html::{Document, NodeId};
 use msite_render::browser::{Browser, BrowserConfig};
-use msite_render::image::{process, ImageFormat, PostProcess};
-use msite_render::RenderResult;
+use msite_render::image::{process, ImageFormat, PostProcess, ProcessedImage};
+use msite_render::{Canvas, RenderResult};
 use msite_support::sync::Mutex;
+use msite_support::telemetry::{Counter, MetricsRegistry};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Shared browser handle for snapshot and pre-render work. Launching is
@@ -32,17 +35,50 @@ pub(crate) struct Renderer {
     spent_nanos: AtomicU64,
     renders: AtomicUsize,
     degradations: Mutex<Vec<String>>,
+    /// `None` when the run has no registry to count into.
+    work: Option<WorkCounters>,
+}
+
+/// A run's parser and encoder totals: HTML bytes handed to the parser
+/// or the browser, and PNG encodes with their time.
+struct WorkCounters {
+    tokenizer_bytes: Arc<Counter>,
+    png_encodes: Arc<Counter>,
+    png_micros: Arc<Counter>,
 }
 
 impl Renderer {
-    pub(crate) fn new(config: BrowserConfig) -> Renderer {
+    pub(crate) fn new(config: BrowserConfig, metrics: Option<&MetricsRegistry>) -> Renderer {
         Renderer {
             config: Mutex::new(config),
             browser: OnceLock::new(),
             spent_nanos: AtomicU64::new(0),
             renders: AtomicUsize::new(0),
             degradations: Mutex::new(Vec::new()),
+            work: metrics.map(|m| WorkCounters {
+                tokenizer_bytes: m.counter("msite_tokenizer_bytes_total", &[]),
+                png_encodes: m.counter("msite_png_encodes_total", &[]),
+                png_micros: m.counter("msite_png_encode_micros", &[]),
+            }),
         }
+    }
+
+    /// Counts `html` as handed to the HTML parser.
+    pub(crate) fn count_parsed(&self, html: &str) {
+        if let Some(work) = &self.work {
+            work.tokenizer_bytes.add(html.len() as u64);
+        }
+    }
+
+    /// Runs the image post-processor, counting its PNG encode.
+    pub(crate) fn post_process(&self, canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
+        let processed = process(canvas, spec);
+        if let Some(work) = &self.work {
+            work.png_encodes.inc();
+            work.png_micros
+                .add(processed.encode_time.as_micros() as u64);
+        }
+        processed
     }
 
     /// True once a browser has been launched.
@@ -80,6 +116,7 @@ impl Renderer {
     pub(crate) fn render(&self, html: &str) -> RenderResult {
         let start = Instant::now();
         self.renders.fetch_add(1, Ordering::Relaxed);
+        self.count_parsed(html);
         let browser = self
             .browser
             .get_or_init(|| Browser::launch(self.config.lock().clone()));
@@ -164,7 +201,7 @@ pub(crate) fn partial_css_prerender(
     }
     let blanked_html = standalone_object_page(&scratch, copy);
     let rendered = renderer.render(&blanked_html);
-    let processed = process(
+    let processed = renderer.post_process(
         &rendered.canvas,
         &PostProcess {
             scale: Some(scale),

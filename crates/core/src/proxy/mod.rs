@@ -18,10 +18,13 @@
 //!
 //! # Observability
 //!
-//! Every counter the proxy keeps lives in a
+//! Every counter the proxy and its components keep lives in one
 //! [`MetricsRegistry`](msite_support::telemetry::MetricsRegistry)
 //! (shareable with the HTTP server and resilience layer through
-//! [`ProxyConfig::telemetry`]); [`ProxyStats`] is a view over it. Each
+//! [`ProxyConfig::telemetry`]): the render and subtree caches, the disk
+//! tier, a private session store and the pipeline all count into it
+//! directly, and [`ProxyStats`] and the component stats are views over
+//! it. Each
 //! request gets a seeded-deterministic trace id, carried on the
 //! response in the `x-msite-trace` header; pipeline stages, cache
 //! flights, resilience events, and (over TCP) the server worker hop
@@ -58,7 +61,7 @@ pub use streaming::STREAM_HEADER;
 
 use crate::ajax::AjaxRegistry;
 use crate::attributes::AdaptationSpec;
-use crate::cache::{RenderCache, SubtreeCache};
+use crate::cache::{CacheConfig, RenderCache, SubtreeCache};
 use crate::dsl;
 use crate::engine::EngineRegistry;
 use crate::pipeline::{PipelineContext, PipelineReport};
@@ -111,22 +114,24 @@ impl ProxyServer {
     /// configured resilience policy (retries, deadline, breaker).
     pub fn new(spec: AdaptationSpec, origin: OriginRef, config: ProxyConfig) -> ProxyServer {
         let telemetry = config.telemetry.clone().unwrap_or_default();
-        let cache = match &config.persist {
-            Some(persist) => {
-                let tier = crate::persist::DiskTier::open(
-                    Arc::clone(&persist.backend),
-                    crate::persist::DiskTierConfig::with_capacity(persist.capacity_bytes),
-                );
-                RenderCache::with_disk_tier(
-                    config.cache_capacity,
-                    config.stale_window,
-                    Arc::new(tier),
-                )
-            }
-            None => RenderCache::with_stale_window(config.cache_capacity, config.stale_window),
-        };
+        let registry = &telemetry.metrics;
+        let disk = config.persist.as_ref().map(|persist| {
+            Arc::new(crate::persist::DiskTier::open(
+                Arc::clone(&persist.backend),
+                crate::persist::DiskTierConfig::with_capacity(persist.capacity_bytes),
+                registry,
+            ))
+        });
+        let cache = RenderCache::new(CacheConfig {
+            capacity: config.cache_capacity,
+            stale_window: config.stale_window,
+            shards: None,
+            disk,
+            metrics: Some(Arc::clone(registry)),
+        });
         // Session store: private (built from the config knobs) unless
-        // the embedder passed a shared multi-tenant store.
+        // the embedder passed a shared multi-tenant store, which
+        // publishes into the registry it was built with.
         let sessions = match &config.session_store {
             Some(store) => Arc::clone(store),
             None => Arc::new(SessionStore::new(
@@ -137,7 +142,8 @@ impl ProxyServer {
                     tenant_share: config.tenant_share,
                     seed: config.seed,
                 },
-                Arc::new(SessionFs::new()),
+                Arc::new(SessionFs::new(registry)),
+                Arc::clone(registry),
             )),
         };
         let tenant = Url::parse(&spec.page_url)
@@ -154,15 +160,15 @@ impl ProxyServer {
             }));
         }
         let metrics = ProxyMetrics::new(&telemetry);
-        metrics
-            .session_max
-            .set(sessions.config().max_sessions as i64);
         ProxyServer {
             fs: Arc::clone(sessions.fs()),
             sessions,
             tenant,
             cache: Arc::new(cache),
-            subtrees: Arc::new(SubtreeCache::new(config.subtree_cache_capacity)),
+            subtrees: Arc::new(SubtreeCache::with_metrics(
+                config.subtree_cache_capacity,
+                registry,
+            )),
             metrics,
             trace_ids: TraceIdSeq::new(config.seed ^ 0x0074_7261_6365), // "trace"
             shared_ajax: Arc::new(Mutex::new(None)),

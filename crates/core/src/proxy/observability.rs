@@ -2,9 +2,12 @@
 //!
 //! [`ProxyStats`] is a read-back view over the proxy's metrics
 //! registry; [`ProxyMetrics`] holds the pre-interned handles the hot
-//! path bumps. The observability endpoints (`/metrics`, `/healthz`,
-//! `/trace/<id>`) are answered before any request counter or trace id
-//! moves, so scraping never perturbs the numbers being scraped.
+//! path bumps. The caches, the disk tier, the session store and the
+//! pipeline count into the same registry themselves, so a scrape
+//! renders it as it stands: nothing is copied in at scrape time. The
+//! observability endpoints (`/metrics`, `/healthz`, `/trace/<id>`) are
+//! answered before any request counter or trace id moves, so scraping
+//! never perturbs the numbers being scraped.
 
 use super::ProxyServer;
 use crate::error::{ProxyError, DEGRADED_HEADER};
@@ -13,7 +16,7 @@ use msite_net::resilience::BreakerState;
 use msite_net::{Request, Response, Url};
 use msite_support::bytes::Bytes;
 use msite_support::telemetry::{
-    metrics::LATENCY_MICROS_BOUNDS, Counter, Gauge, Histogram, Telemetry, Trace,
+    metrics::LATENCY_MICROS_BOUNDS, Counter, Histogram, Telemetry, Trace,
 };
 use std::sync::Arc;
 
@@ -51,17 +54,16 @@ pub struct ProxyStats {
     /// was full. The rejected connections never reach the proxy's
     /// request handler: this reads the HTTP server's
     /// `msite_server_rejected_overload_total` counter, which a server
-    /// sharing this proxy's [`Telemetry`] updates directly — no
-    /// embedder-side folding needed. (Embedders running a server with
-    /// a *separate* registry can still fold via
-    /// [`ProxyServer::record_overload_rejections`].)
+    /// sharing this proxy's [`Telemetry`] updates directly (a server on
+    /// another registry counts there instead).
     pub overload_rejections: u64,
     /// Subpage artifacts served from the fingerprint-keyed subtree
-    /// cache during an entry rebuild (incremental re-adaptation).
+    /// cache during an entry rebuild (incremental re-adaptation): the
+    /// subtree cache's hits.
     pub subtrees_reused: u64,
     /// Subpage artifacts that had to be re-assembled (and, for
     /// pre-rendered subpages, re-rendered) because their fingerprints
-    /// changed or were never cached.
+    /// changed or were never cached: the subtree cache's misses.
     pub subtrees_recomputed: u64,
     /// Entry responses delivered progressively (chunked).
     pub streamed_responses: u64,
@@ -79,22 +81,9 @@ pub(super) struct ProxyMetrics {
     pub(super) engine_fallbacks: Arc<Counter>,
     pub(super) renders_coalesced: Arc<Counter>,
     /// The serving tier's shed counter — the *same* series an
-    /// `HttpServer` sharing this registry increments, so embedders get
-    /// consistent numbers without folding.
+    /// `HttpServer` sharing this registry increments.
     pub(super) overload_rejections: Arc<Counter>,
-    /// Subtree-cache reuse counters — the same series the emit stage
-    /// bumps through [`PipelineContext::metrics`]; interned here so
-    /// [`ProxyStats`] reads are single atomic loads.
-    pub(super) subtrees_reused: Arc<Counter>,
-    pub(super) subtrees_recomputed: Arc<Counter>,
     pub(super) streamed_responses: Arc<Counter>,
-    /// Session-store gauges (`msite_session_*`): live occupancy and
-    /// the configured bound — the pair the health monitor reads to
-    /// fold session pressure into its classification — plus the
-    /// budgeted session-directory bytes.
-    pub(super) session_live: Arc<Gauge>,
-    pub(super) session_max: Arc<Gauge>,
-    pub(super) session_fs_bytes: Arc<Gauge>,
     pub(super) request_micros: Arc<Histogram>,
     /// Time from request arrival to the first flushed entry chunk
     /// (progressive delivery) or to the complete response (batch).
@@ -104,6 +93,15 @@ pub(super) struct ProxyMetrics {
 impl ProxyMetrics {
     pub(super) fn new(telemetry: &Telemetry) -> ProxyMetrics {
         let m = &telemetry.metrics;
+        // The pipeline counts these per run; interned up front so a
+        // scrape shows them before the first build.
+        for name in [
+            "msite_tokenizer_bytes_total",
+            "msite_png_encodes_total",
+            "msite_png_encode_micros",
+        ] {
+            m.counter(name, &[]);
+        }
         ProxyMetrics {
             request_micros: m.histogram("msite_proxy_request_micros", &[], LATENCY_MICROS_BOUNDS),
             ttfb_micros: m.histogram("msite_proxy_ttfb_micros", &[], LATENCY_MICROS_BOUNDS),
@@ -116,12 +114,7 @@ impl ProxyMetrics {
             engine_fallbacks: m.counter("msite_proxy_engine_fallbacks_total", &[]),
             renders_coalesced: m.counter("msite_proxy_renders_coalesced_total", &[]),
             overload_rejections: m.counter("msite_server_rejected_overload_total", &[]),
-            subtrees_reused: m.counter("msite_subtrees_reused_total", &[]),
-            subtrees_recomputed: m.counter("msite_subtrees_recomputed_total", &[]),
             streamed_responses: m.counter("msite_proxy_streamed_responses_total", &[]),
-            session_live: m.gauge("msite_session_live", &[]),
-            session_max: m.gauge("msite_session_max", &[]),
-            session_fs_bytes: m.gauge("msite_session_fs_bytes", &[]),
         }
     }
 }
@@ -148,6 +141,7 @@ pub(super) fn publish_stage_timings_to(
 impl ProxyServer {
     /// Counters so far — a view reconstructed from the registry.
     pub fn stats(&self) -> ProxyStats {
+        let subtrees = self.subtrees.stats();
         ProxyStats {
             requests: self.metrics.requests.get(),
             full_renders: self.metrics.full_renders.get(),
@@ -162,20 +156,10 @@ impl ProxyServer {
             engine_fallbacks: self.metrics.engine_fallbacks.get(),
             renders_coalesced: self.metrics.renders_coalesced.get(),
             overload_rejections: self.metrics.overload_rejections.get(),
-            subtrees_reused: self.metrics.subtrees_reused.get(),
-            subtrees_recomputed: self.metrics.subtrees_recomputed.get(),
+            subtrees_reused: subtrees.hits,
+            subtrees_recomputed: subtrees.misses,
             streamed_responses: self.metrics.streamed_responses.get(),
         }
-    }
-
-    /// Folds connection-level overload rejections (counted by an HTTP
-    /// server with a registry *separate* from this proxy's) into
-    /// [`ProxyStats::overload_rejections`]. `n` is the server's
-    /// cumulative counter; the fold is a monotonic max, so repeated
-    /// polling stays idempotent. A server sharing this proxy's
-    /// [`Telemetry`] updates the counter directly and never needs this.
-    pub fn record_overload_rejections(&self, n: u64) {
-        self.metrics.overload_rejections.fold_to(n);
     }
 
     /// Publishes per-stage pipeline timings into the registry's
@@ -183,87 +167,6 @@ impl ProxyServer {
     /// entry rebuilds (not cache hits) get here.
     pub(super) fn publish_stage_timings(&self, report: &PipelineReport) {
         publish_stage_timings_to(&self.telemetry.metrics, report);
-    }
-
-    /// Copies registry-external counters (cache stats, live sessions)
-    /// into the registry so a scrape sees one consistent surface. The
-    /// cache keeps its own counters for lock-striping reasons; the
-    /// monotonic `fold_to` makes this sync idempotent.
-    fn sync_derived_metrics(&self) {
-        let m = &self.telemetry.metrics;
-        let cache = self.cache.stats();
-        m.counter("msite_cache_hits_total", &[]).fold_to(cache.hits);
-        m.counter("msite_cache_misses_total", &[])
-            .fold_to(cache.misses);
-        m.counter("msite_cache_evictions_total", &[])
-            .fold_to(cache.evictions);
-        m.counter("msite_cache_expirations_total", &[])
-            .fold_to(cache.expirations);
-        m.counter("msite_cache_stale_hits_total", &[])
-            .fold_to(cache.stale_hits);
-        m.counter("msite_cache_coalesced_total", &[])
-            .fold_to(cache.coalesced);
-        let subtrees = self.subtrees.stats();
-        m.counter("msite_subtree_cache_evictions_total", &[])
-            .fold_to(subtrees.evictions);
-        if let Some(disk) = self.cache.disk_stats() {
-            m.counter("msite_disk_hits_total", &[]).fold_to(disk.hits);
-            m.counter("msite_disk_misses_total", &[])
-                .fold_to(disk.misses);
-            m.counter("msite_disk_puts_total", &[]).fold_to(disk.puts);
-            m.counter("msite_disk_put_errors_total", &[])
-                .fold_to(disk.put_errors);
-            m.counter("msite_disk_quarantined_total", &[])
-                .fold_to(disk.quarantined);
-            m.counter("msite_disk_replayed_total", &[])
-                .fold_to(disk.replayed);
-            m.counter("msite_disk_segments_dropped_total", &[])
-                .fold_to(disk.segments_dropped);
-            m.counter("msite_disk_warm_loaded_total", &[])
-                .fold_to(self.cache.warm_loaded());
-            m.gauge("msite_disk_live_bytes", &[])
-                .set(disk.live_bytes as i64);
-        }
-        // SWAR hot-path totals: tokenizer throughput and PNG encode
-        // cost accumulate in process-wide atomics inside their crates;
-        // fold them in so a scrape sees the pair together.
-        m.counter("msite_tokenizer_bytes_total", &[])
-            .fold_to(msite_html::tokenizer::bytes_total());
-        let (png_encodes, png_micros) = msite_render::png::encode_totals();
-        m.counter("msite_png_encodes_total", &[])
-            .fold_to(png_encodes);
-        m.counter("msite_png_encode_micros", &[])
-            .fold_to(png_micros);
-        // Session store: gauges plus eviction counters by cause and
-        // per-tenant occupancy. The store keeps its own atomics for
-        // lock-striping reasons; `fold_to` keeps the sync idempotent.
-        let sessions = self.sessions.stats();
-        self.metrics.session_live.set(sessions.live as i64);
-        self.metrics
-            .session_max
-            .set(self.sessions.config().max_sessions as i64);
-        self.metrics
-            .session_fs_bytes
-            .set(self.fs.session_bytes() as i64);
-        m.gauge("msite_session_fs_budget", &[])
-            .set(self.sessions.config().fs_byte_budget as i64);
-        m.counter("msite_session_created_total", &[])
-            .fold_to(sessions.created);
-        m.counter("msite_session_destroyed_total", &[])
-            .fold_to(sessions.destroyed);
-        for (cause, value) in [
-            ("lru", sessions.evicted_lru),
-            ("quota", sessions.evicted_quota),
-            ("expired", sessions.evicted_expired),
-            ("fs_bytes", sessions.evicted_fs_bytes),
-        ] {
-            m.counter("msite_session_evictions_total", &[("cause", cause)])
-                .fold_to(value);
-        }
-        for (tenant, live, _, _) in self.sessions.tenant_occupancy() {
-            m.gauge("msite_session_tenant_live", &[("tenant", &tenant)])
-                .set(live as i64);
-        }
     }
 
     /// Routes the observability endpoints — `GET /metrics`,
@@ -282,7 +185,6 @@ impl ProxyServer {
 
     /// `GET /metrics`: the registry's stable text exposition.
     fn serve_metrics(&self) -> Response {
-        self.sync_derived_metrics();
         let text = self.telemetry.metrics.render_text();
         Response::bytes(
             "text/plain; version=0.0.4; charset=utf-8",
@@ -296,7 +198,6 @@ impl ProxyServer {
     /// overloaded` when the serving tier's queue is at its depth.
     fn serve_healthz(&self) -> Response {
         use crate::error::ERROR_HEADER;
-        self.sync_derived_metrics();
         let m = &self.telemetry.metrics;
         let host = Url::parse(&self.spec.page_url)
             .map(|u| u.host().to_string())

@@ -63,7 +63,6 @@ impl ProxyServer {
         if created {
             self.metrics.sessions_created.inc();
         }
-        self.metrics.session_live.set(self.sessions.len() as i64);
         let session_id = session.lock().id.clone();
         let attach_cookie = |mut response: Response| -> Response {
             if created {

@@ -40,6 +40,10 @@
 //!   then wipes the victim's `SessionFs` directory and runs registered
 //!   eviction hooks (the proxy drops its per-user bundle) outside any
 //!   store lock.
+//! - **Counters.** The `msite_session_*` counters and live gauges sit
+//!   in the registry the store is built with and move at each insert
+//!   and removal. Only the `live` admission counts stay private, so a
+//!   store's bounds hold even when stores share a registry.
 //!
 //! The "filesystem" here is virtual (an in-memory tree) so tests and
 //! benchmarks need no disk; [`SessionFs::export`] dumps it to a real
@@ -47,9 +51,11 @@
 //! directory, so teardown is O(files in that directory) and per-session
 //! byte accounting is free.
 
+use msite_html::fingerprint::fnv1a;
 use msite_net::{CookieJar, Prng};
 use msite_support::bytes::Bytes;
 use msite_support::sync::Mutex;
+use msite_support::telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,7 +148,8 @@ impl Default for SessionStoreConfig {
     }
 }
 
-/// Counter snapshot of a [`SessionStore`]. The conservation invariant
+/// Counter snapshot of a [`SessionStore`], read from its registry
+/// series. The conservation invariant
 /// `live + destroyed + evicted_total() == created` holds whenever the
 /// store is quiescent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -174,9 +181,40 @@ impl SessionStoreStats {
 /// on eviction) and the tenant registry.
 struct TenantState {
     name: String,
+    /// Quota admission count (reservations included).
     live: AtomicI64,
+    /// `msite_session_tenant_live{tenant}`: the tenant's stored sessions.
+    live_gauge: Arc<Gauge>,
     created: AtomicU64,
     evicted: AtomicU64,
+}
+
+/// The registry handles a store counts into.
+struct SessionMetrics {
+    registry: Arc<MetricsRegistry>,
+    created: Arc<Counter>,
+    destroyed: Arc<Counter>,
+    /// Evictions by cause, in [`EvictCause::all`] order.
+    evicted: [Arc<Counter>; 4],
+    /// `msite_session_live`: sessions stored, across tenants.
+    live: Arc<Gauge>,
+}
+
+impl SessionMetrics {
+    fn new(registry: Arc<MetricsRegistry>, config: &SessionStoreConfig) -> SessionMetrics {
+        let gauge = |name: &str| registry.gauge(name, &[]);
+        gauge("msite_session_max").set(config.max_sessions as i64);
+        gauge("msite_session_fs_budget").set(config.fs_byte_budget as i64);
+        SessionMetrics {
+            created: registry.counter("msite_session_created_total", &[]),
+            destroyed: registry.counter("msite_session_destroyed_total", &[]),
+            evicted: EvictCause::all().map(|cause| {
+                registry.counter("msite_session_evictions_total", &[("cause", cause.name())])
+            }),
+            live: gauge("msite_session_live"),
+            registry,
+        }
+    }
 }
 
 struct Slot {
@@ -221,13 +259,9 @@ pub struct SessionStore {
     fs: Arc<SessionFs>,
     id_source: Mutex<Prng>,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
+    /// Admission count against `max_sessions` (reservations included).
     live: AtomicI64,
-    created: AtomicU64,
-    destroyed: AtomicU64,
-    evicted_lru: AtomicU64,
-    evicted_quota: AtomicU64,
-    evicted_expired: AtomicU64,
-    evicted_fs_bytes: AtomicU64,
+    metrics: SessionMetrics,
     /// Test/harness clock offset (micros) added to `Instant::now()`, so
     /// TTL behavior can be driven without real sleeps.
     time_offset_micros: AtomicU64,
@@ -236,8 +270,13 @@ pub struct SessionStore {
 
 impl SessionStore {
     /// Creates a store over `fs` (evicted sessions' directories are
-    /// wiped there).
-    pub fn new(config: SessionStoreConfig, fs: Arc<SessionFs>) -> SessionStore {
+    /// wiped there), counting into `registry` (a store shared by several
+    /// proxies is built on their shared registry).
+    pub fn new(
+        config: SessionStoreConfig,
+        fs: Arc<SessionFs>,
+        registry: Arc<MetricsRegistry>,
+    ) -> SessionStore {
         let shard_count = (config.max_sessions / 32).clamp(1, 16);
         SessionStore {
             shards: (0..shard_count)
@@ -247,12 +286,7 @@ impl SessionStore {
             id_source: Mutex::new(Prng::new(config.seed)),
             tenants: Mutex::new(HashMap::new()),
             live: AtomicI64::new(0),
-            created: AtomicU64::new(0),
-            destroyed: AtomicU64::new(0),
-            evicted_lru: AtomicU64::new(0),
-            evicted_quota: AtomicU64::new(0),
-            evicted_expired: AtomicU64::new(0),
-            evicted_fs_bytes: AtomicU64::new(0),
+            metrics: SessionMetrics::new(registry, &config),
             time_offset_micros: AtomicU64::new(0),
             evict_hooks: Mutex::new(Vec::new()),
             config,
@@ -310,12 +344,7 @@ impl SessionStore {
         if self.shards.len() == 1 {
             return 0;
         }
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in id.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01B3);
-        }
-        (hash % self.shards.len() as u64) as usize
+        (fnv1a(id.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Number of lock stripes.
@@ -331,6 +360,10 @@ impl SessionStore {
         let state = Arc::new(TenantState {
             name: tenant.to_string(),
             live: AtomicI64::new(0),
+            live_gauge: self
+                .metrics
+                .registry
+                .gauge("msite_session_tenant_live", &[("tenant", tenant)]),
             created: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         });
@@ -342,7 +375,7 @@ impl SessionStore {
     /// evicting within bounds first (see the module docs).
     pub fn create(&self, tenant: &str) -> Arc<Mutex<Session>> {
         let tenant_state = self.tenant_state(tenant);
-        self.created.fetch_add(1, Ordering::Relaxed);
+        self.metrics.created.inc();
         tenant_state.created.fetch_add(1, Ordering::Relaxed);
 
         // Reservation: count ourselves live first, then evict while any
@@ -394,6 +427,8 @@ impl SessionStore {
             http_auth: None,
         }));
         let expires_at = self.config.session_ttl.map(|ttl| self.now() + ttl);
+        self.metrics.live.add(1);
+        tenant_state.live_gauge.add(1);
         let mut shard = self.shards[self.shard_of(&id)].lock();
         let tick = self.next_tick();
         shard.order.insert(tick, id.clone());
@@ -480,7 +515,7 @@ impl SessionStore {
                 None => return false,
             }
         };
-        self.destroyed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.destroyed.inc();
         self.finish_removal(removed, None);
         true
     }
@@ -503,44 +538,54 @@ impl SessionStore {
     /// `None`), preferring the globally least-recently-used candidate.
     /// Expired victims are accounted as `expired` regardless of the
     /// requested cause. Returns `false` when nothing matched.
+    fn evict_one(&self, filter: Option<&Arc<TenantState>>, cause: EvictCause) -> bool {
+        let matches = |_: &str, slot: &Slot| filter.is_none_or(|t| Arc::ptr_eq(t, &slot.tenant));
+        self.evict_oldest(
+            matches,
+            |expired| if expired { EvictCause::Expired } else { cause },
+        )
+    }
+
+    /// Evicts the globally least-recently-used session `matches`
+    /// accepts, accounting it under `cause_of(expired)`; `false` when
+    /// none matched.
     ///
     /// Two phases: a lock-per-shard scan picks the shard holding the
     /// oldest matching slot, then that shard is re-locked and its
     /// oldest matching slot removed *under the lock* — eviction is
     /// atomic per shard, so a concurrent create can interleave but
     /// never observe (or cause) a half-removed slot or a stale bound.
-    fn evict_one(&self, filter: Option<&Arc<TenantState>>, cause: EvictCause) -> bool {
+    fn evict_oldest(
+        &self,
+        matches: impl Fn(&str, &Slot) -> bool,
+        cause_of: impl Fn(bool) -> EvictCause,
+    ) -> bool {
+        let oldest = |inner: &ShardInner| {
+            inner
+                .order
+                .iter()
+                .find(|(_, id)| matches(id, &inner.slots[*id]))
+                .map(|(tick, id)| (*tick, id.clone()))
+        };
         let mut best: Option<(usize, u64)> = None;
         for (index, shard) in self.shards.iter().enumerate() {
-            let inner = shard.lock();
-            for (tick, id) in inner.order.iter() {
-                let slot = &inner.slots[id];
-                if filter.map(|t| Arc::ptr_eq(t, &slot.tenant)).unwrap_or(true) {
-                    if best.map(|(_, t)| *tick < t).unwrap_or(true) {
-                        best = Some((index, *tick));
-                    }
-                    break;
+            if let Some((tick, _)) = oldest(&shard.lock()) {
+                if best.is_none_or(|(_, t)| tick < t) {
+                    best = Some((index, tick));
                 }
             }
         }
         let Some((index, _)) = best else { return false };
 
         let now = self.now();
-        let removed = {
+        let (removed, expired) = {
             let mut shard = self.shards[index].lock();
-            let victim = shard.order.iter().find_map(|(tick, id)| {
-                let slot = &shard.slots[id];
-                filter
-                    .map(|t| Arc::ptr_eq(t, &slot.tenant))
-                    .unwrap_or(true)
-                    .then(|| (*tick, id.clone()))
-            });
-            let Some((tick, id)) = victim else {
+            let Some((tick, id)) = oldest(&shard) else {
                 return false;
             };
             let slot = shard.slots.remove(&id).expect("victim present");
             shard.order.remove(&tick);
-            let expired = slot.expires_at.map(|t| now >= t).unwrap_or(false);
+            let expired = slot.expires_at.is_some_and(|t| now >= t);
             (
                 Removed {
                     id,
@@ -549,11 +594,7 @@ impl SessionStore {
                 expired,
             )
         };
-        let (removed, expired) = removed;
-        self.finish_removal(
-            removed,
-            Some(if expired { EvictCause::Expired } else { cause }),
-        );
+        self.finish_removal(removed, Some(cause_of(expired)));
         true
     }
 
@@ -562,15 +603,11 @@ impl SessionStore {
     fn finish_removal(&self, removed: Removed, cause: Option<EvictCause>) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         removed.tenant.live.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.live.sub(1);
+        removed.tenant.live_gauge.sub(1);
         if let Some(cause) = cause {
             removed.tenant.evicted.fetch_add(1, Ordering::Relaxed);
-            let counter = match cause {
-                EvictCause::Lru => &self.evicted_lru,
-                EvictCause::Quota => &self.evicted_quota,
-                EvictCause::Expired => &self.evicted_expired,
-                EvictCause::FsBytes => &self.evicted_fs_bytes,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evicted[cause as usize].inc();
         }
         self.fs.remove_session(&removed.id);
         let hooks: Vec<EvictHook> = self.evict_hooks.lock().clone();
@@ -587,7 +624,11 @@ impl SessionStore {
     pub fn enforce_fs_budget(&self) {
         let budget = self.config.fs_byte_budget;
         while self.fs.session_bytes() > budget {
-            if !self.evict_one_with_bytes() && self.reclaim_orphan_dirs() == 0 {
+            // Sessions without a directory cannot reduce the budget.
+            let owns_bytes = |id: &str, _: &Slot| self.fs.bytes_of(id) > 0;
+            if !self.evict_oldest(owns_bytes, |_| EvictCause::FsBytes)
+                && self.reclaim_orphan_dirs() == 0
+            {
                 break;
             }
         }
@@ -612,43 +653,6 @@ impl SessionStore {
             }
         }
         reclaimed
-    }
-
-    /// Evicts the oldest session that owns filesystem bytes (cause
-    /// `fs_bytes`). Sessions without a directory cannot reduce the
-    /// budget, so they are skipped.
-    fn evict_one_with_bytes(&self) -> bool {
-        let mut best: Option<(usize, u64)> = None;
-        for (index, shard) in self.shards.iter().enumerate() {
-            let inner = shard.lock();
-            for (tick, id) in inner.order.iter() {
-                if self.fs.bytes_of(id) > 0 {
-                    if best.map(|(_, t)| *tick < t).unwrap_or(true) {
-                        best = Some((index, *tick));
-                    }
-                    break;
-                }
-            }
-        }
-        let Some((index, _)) = best else { return false };
-        let removed = {
-            let mut shard = self.shards[index].lock();
-            let victim = shard
-                .order
-                .iter()
-                .find_map(|(tick, id)| (self.fs.bytes_of(id) > 0).then(|| (*tick, id.clone())));
-            let Some((tick, id)) = victim else {
-                return false;
-            };
-            let slot = shard.slots.remove(&id).expect("victim present");
-            shard.order.remove(&tick);
-            Removed {
-                id,
-                tenant: slot.tenant,
-            }
-        };
-        self.finish_removal(removed, Some(EvictCause::FsBytes));
-        true
     }
 
     /// Removes every expired session now (cause `expired`). `get`
@@ -726,16 +730,18 @@ impl SessionStore {
         rows
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, read from the registry series.
     pub fn stats(&self) -> SessionStoreStats {
+        let m = &self.metrics;
+        let [lru, quota, expired, fs_bytes] = &m.evicted;
         SessionStoreStats {
-            created: self.created.load(Ordering::Relaxed),
-            live: self.len() as u64,
-            destroyed: self.destroyed.load(Ordering::Relaxed),
-            evicted_lru: self.evicted_lru.load(Ordering::Relaxed),
-            evicted_quota: self.evicted_quota.load(Ordering::Relaxed),
-            evicted_expired: self.evicted_expired.load(Ordering::Relaxed),
-            evicted_fs_bytes: self.evicted_fs_bytes.load(Ordering::Relaxed),
+            created: m.created.get(),
+            live: m.live.get().max(0) as u64,
+            destroyed: m.destroyed.get(),
+            evicted_lru: lru.get(),
+            evicted_quota: quota.get(),
+            evicted_expired: expired.get(),
+            evicted_fs_bytes: fs_bytes.get(),
         }
     }
 
@@ -788,7 +794,10 @@ pub struct SessionFs {
     /// Session directories, sharded by session id (FNV-1a).
     shards: Vec<Mutex<HashMap<String, Dir>>>,
     public: Mutex<HashMap<String, Bytes>>,
+    /// The budgeted bytes (admission state, like the store's `live`).
     session_bytes: AtomicU64,
+    /// `msite_session_fs_bytes`, moved with `session_bytes`.
+    session_bytes_gauge: Arc<Gauge>,
     public_bytes: AtomicU64,
 }
 
@@ -799,17 +808,6 @@ struct Dir {
 
 const FS_SHARDS: usize = 16;
 
-impl Default for SessionFs {
-    fn default() -> Self {
-        SessionFs {
-            shards: (0..FS_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            public: Mutex::new(HashMap::new()),
-            session_bytes: AtomicU64::new(0),
-            public_bytes: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Splits a canonical session path into `(session_id, relative_path)`.
 fn split_session_path(path: &str) -> Option<(&str, &str)> {
     let rest = path.strip_prefix("/sessions/")?;
@@ -818,9 +816,16 @@ fn split_session_path(path: &str) -> Option<(&str, &str)> {
 }
 
 impl SessionFs {
-    /// Creates an empty tree.
-    pub fn new() -> SessionFs {
-        SessionFs::default()
+    /// Creates an empty tree that publishes its budgeted bytes into
+    /// `registry`.
+    pub fn new(registry: &MetricsRegistry) -> SessionFs {
+        SessionFs {
+            shards: (0..FS_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            public: Mutex::new(HashMap::new()),
+            session_bytes: AtomicU64::new(0),
+            session_bytes_gauge: registry.gauge("msite_session_fs_bytes", &[]),
+            public_bytes: AtomicU64::new(0),
+        }
     }
 
     /// Canonical path of a per-user file.
@@ -834,12 +839,7 @@ impl SessionFs {
     }
 
     fn shard_for(&self, session_id: &str) -> &Mutex<HashMap<String, Dir>> {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in session_id.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01B3);
-        }
-        &self.shards[(hash % self.shards.len() as u64) as usize]
+        &self.shards[(fnv1a(session_id.as_bytes()) % self.shards.len() as u64) as usize]
     }
 
     /// Writes a file, replacing any previous contents at `path`.
@@ -859,6 +859,8 @@ impl SessionFs {
                     .map(|old| old.len())
                     .unwrap_or(0);
                 dir.bytes = dir.bytes + new_len - old_len;
+                self.session_bytes_gauge
+                    .add(new_len as i64 - old_len as i64);
                 if new_len >= old_len {
                     self.session_bytes
                         .fetch_add((new_len - old_len) as u64, Ordering::Relaxed);
@@ -906,6 +908,7 @@ impl SessionFs {
             Some(dir) => {
                 self.session_bytes
                     .fetch_sub(dir.bytes as u64, Ordering::Relaxed);
+                self.session_bytes_gauge.sub(dir.bytes as i64);
                 dir.files.len()
             }
             None => 0,
@@ -999,7 +1002,11 @@ mod tests {
     use msite_net::Cookie;
 
     fn store(config: SessionStoreConfig) -> SessionStore {
-        SessionStore::new(config, Arc::new(SessionFs::new()))
+        SessionStore::new(
+            config,
+            Arc::new(SessionFs::new(&MetricsRegistry::new())),
+            Default::default(),
+        )
     }
 
     fn small(max_sessions: usize) -> SessionStore {
@@ -1148,7 +1155,7 @@ mod tests {
 
     #[test]
     fn eviction_wipes_session_directory() {
-        let fs = Arc::new(SessionFs::new());
+        let fs = Arc::new(SessionFs::new(&MetricsRegistry::new()));
         let mgr = SessionStore::new(
             SessionStoreConfig {
                 max_sessions: 1,
@@ -1156,6 +1163,7 @@ mod tests {
                 ..SessionStoreConfig::default()
             },
             Arc::clone(&fs),
+            Default::default(),
         );
         let a = mgr.create("t").lock().id.clone();
         fs.write(&SessionFs::user_path(&a, "s/x.html"), "hello");
@@ -1167,7 +1175,7 @@ mod tests {
 
     #[test]
     fn fs_budget_evicts_byte_owners() {
-        let fs = Arc::new(SessionFs::new());
+        let fs = Arc::new(SessionFs::new(&MetricsRegistry::new()));
         let mgr = SessionStore::new(
             SessionStoreConfig {
                 max_sessions: 16,
@@ -1176,6 +1184,7 @@ mod tests {
                 ..SessionStoreConfig::default()
             },
             Arc::clone(&fs),
+            Default::default(),
         );
         let ids: Vec<String> = (0..4).map(|_| mgr.create("t").lock().id.clone()).collect();
         for id in &ids {
@@ -1251,7 +1260,7 @@ mod tests {
 
     #[test]
     fn fs_user_isolation() {
-        let fs = SessionFs::new();
+        let fs = SessionFs::new(&MetricsRegistry::new());
         fs.write(&SessionFs::user_path("u1", "login.html"), "a");
         fs.write(&SessionFs::user_path("u1", "img/snap.png"), "b");
         fs.write(&SessionFs::user_path("u2", "login.html"), "c");
@@ -1264,7 +1273,7 @@ mod tests {
 
     #[test]
     fn fs_accounting() {
-        let fs = SessionFs::new();
+        let fs = SessionFs::new(&MetricsRegistry::new());
         fs.write("/public/a", vec![0u8; 10]);
         fs.write("/public/b", vec![0u8; 5]);
         assert_eq!(fs.total_bytes(), 15);
@@ -1276,7 +1285,7 @@ mod tests {
 
     #[test]
     fn fs_per_session_accounting() {
-        let fs = SessionFs::new();
+        let fs = SessionFs::new(&MetricsRegistry::new());
         fs.write(&SessionFs::user_path("u1", "a"), vec![0u8; 10]);
         fs.write(&SessionFs::user_path("u1", "b"), vec![0u8; 20]);
         fs.write(&SessionFs::user_path("u2", "a"), vec![0u8; 5]);
@@ -1296,7 +1305,7 @@ mod tests {
 
     #[test]
     fn fs_export_to_disk() {
-        let fs = SessionFs::new();
+        let fs = SessionFs::new(&MetricsRegistry::new());
         fs.write(&SessionFs::public_path("x/y.txt"), "hello");
         let dir = std::env::temp_dir().join(format!("msite-fs-test-{}", std::process::id()));
         let written = fs.export(&dir).unwrap();

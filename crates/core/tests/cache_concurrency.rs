@@ -2,7 +2,7 @@
 //! stats accounting, and TTL expiry must all hold under multi-threaded
 //! hit/miss churn driven through `std::thread::scope`.
 
-use msite::cache::RenderCache;
+use msite::cache::{CacheConfig, RenderCache};
 use std::time::Duration;
 
 const THREADS: usize = 8;
@@ -15,7 +15,7 @@ const KEY_SPACE: usize = 96; // 3x capacity, so eviction must happen
 /// get must land in hits or misses, and the churn must evict.
 #[test]
 fn lru_bound_and_accounting_hold_under_churn() {
-    let cache = RenderCache::new(CAPACITY);
+    let cache = RenderCache::new(CacheConfig::with_capacity(CAPACITY));
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cache = &cache;
@@ -59,7 +59,7 @@ fn lru_bound_and_accounting_hold_under_churn() {
 #[test]
 fn ttl_expiry_is_observed_once_under_concurrent_readers() {
     const TTL_KEYS: usize = 16;
-    let cache = RenderCache::new(64);
+    let cache = RenderCache::new(CacheConfig::with_capacity(64));
     for k in 0..TTL_KEYS {
         cache.put(
             &format!("ttl{k}"),
@@ -108,7 +108,7 @@ fn ttl_expiry_is_observed_once_under_concurrent_readers() {
 /// coherent value that some thread produced, and the bound holds.
 #[test]
 fn get_or_insert_with_is_coherent_under_contention() {
-    let cache = RenderCache::new(16);
+    let cache = RenderCache::new(CacheConfig::with_capacity(16));
     std::thread::scope(|scope| {
         for t in 0..6u8 {
             let cache = &cache;

@@ -2,7 +2,7 @@
 //! against a naive reference model must agree on contents, and the LRU
 //! bound must never be exceeded.
 
-use msite::cache::RenderCache;
+use msite::cache::{CacheConfig, RenderCache};
 use msite_support::prop::{self, Gen};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -63,7 +63,7 @@ fn cache_agrees_with_model() {
     prop::check("cache agrees with model", 128, 0x00CA_C4E0, |g| {
         let capacity = g.range_usize(1, 8);
         let ops = g.vec(0, 60, arb_op);
-        let cache = RenderCache::new(capacity);
+        let cache = RenderCache::new(CacheConfig::with_capacity(capacity));
         let mut model = Model {
             capacity,
             entries: HashMap::new(),
@@ -103,7 +103,7 @@ fn cache_agrees_with_model() {
 fn stats_are_consistent() {
     prop::check("cache stats are consistent", 128, 0x00CA_C4E1, |g| {
         let ops = g.vec(0, 40, arb_op);
-        let cache = RenderCache::new(64);
+        let cache = RenderCache::new(CacheConfig::with_capacity(64));
         let cost = Duration::from_millis(7);
         let mut gets = 0u64;
         for op in ops {

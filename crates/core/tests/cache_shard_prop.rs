@@ -3,7 +3,7 @@
 //! one shard never reaches entries living in another, and each shard
 //! keeps its own exact LRU order.
 
-use msite::cache::RenderCache;
+use msite::cache::{CacheConfig, RenderCache};
 use msite_support::prop;
 use std::time::Duration;
 
@@ -17,7 +17,10 @@ fn capacity_is_respected_as_sum_of_shards() {
     prop::check("capacity partitions across shards", 120, 0x5A4D, |g| {
         let capacity = g.range_usize(1, 64);
         let shards = g.range_usize(1, 12);
-        let cache = RenderCache::with_shards(capacity, Duration::ZERO, shards);
+        let cache = RenderCache::new(CacheConfig {
+            shards: Some(shards),
+            ..CacheConfig::with_capacity(capacity)
+        });
 
         let total: usize = (0..cache.shard_count())
             .map(|i| cache.shard_capacity(i))
@@ -44,7 +47,10 @@ fn capacity_is_respected_as_sum_of_shards() {
 #[test]
 fn eviction_never_crosses_shards() {
     prop::check("eviction stays within its shard", 60, 0xEB1C7, |g| {
-        let cache = RenderCache::with_shards(16, Duration::ZERO, 4);
+        let cache = RenderCache::new(CacheConfig {
+            shards: Some(4),
+            ..CacheConfig::with_capacity(16)
+        });
         let mut resident: Vec<Vec<String>> = vec![Vec::new(); cache.shard_count()];
 
         for i in 0..g.range_usize(20, 120) {
@@ -80,7 +86,10 @@ fn eviction_never_crosses_shards() {
 #[test]
 fn lru_is_preserved_within_each_shard() {
     prop::check("per-shard LRU order", 60, 0x14B0, |g| {
-        let cache = RenderCache::with_shards(32, Duration::ZERO, 4);
+        let cache = RenderCache::new(CacheConfig {
+            shards: Some(4),
+            ..CacheConfig::with_capacity(32)
+        });
         let target = g.range_usize(0, cache.shard_count());
         let need = cache.shard_capacity(target) + 1;
 

@@ -7,7 +7,7 @@
 //! boundary comparison below leaves at least a one-second guard band
 //! and cannot flake on scheduler jitter.
 
-use msite::cache::{Lookup, RenderCache};
+use msite::cache::{CacheConfig, Lookup, RenderCache};
 use msite_support::prop;
 use std::time::Duration;
 
@@ -18,7 +18,10 @@ fn stale_window_partitions_entry_lifetime() {
     prop::check("ttl/stale/purge partition", 150, 0x57A1E, |g| {
         let ttl_secs = g.range_u64(2, 30);
         let window_secs = g.range_u64(2, 60);
-        let cache = RenderCache::with_stale_window(8, SEC * window_secs as u32);
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: SEC * window_secs as u32,
+            ..CacheConfig::with_capacity(8)
+        });
         cache.put("k", "artifact", Some(SEC * ttl_secs as u32), SEC);
 
         let mut t = 0u64; // virtual seconds since the put
@@ -77,7 +80,10 @@ fn stale_window_partitions_entry_lifetime() {
 #[test]
 fn untimed_entries_never_go_stale() {
     prop::check("no ttl, no staleness", 60, 0xE7E4A1, |g| {
-        let cache = RenderCache::with_stale_window(4, SEC * g.range_u64(0, 30) as u32);
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: SEC * g.range_u64(0, 30) as u32,
+            ..CacheConfig::with_capacity(4)
+        });
         cache.put("pinned", "forever", None, SEC);
         for _ in 0..g.range_usize(1, 6) {
             cache.advance_clock(SEC * g.range_u64(1, 10_000) as u32);
@@ -91,7 +97,7 @@ fn untimed_entries_never_go_stale() {
 fn zero_window_reduces_to_plain_ttl_cache() {
     prop::check("zero stale window", 60, 0x0D0, |g| {
         let ttl = g.range_u64(1, 20);
-        let cache = RenderCache::with_stale_window(4, Duration::ZERO);
+        let cache = RenderCache::new(CacheConfig::with_capacity(4));
         cache.put("k", "v", Some(SEC * ttl as u32), SEC);
         cache.advance_clock(SEC * (ttl + g.range_u64(1, 50)) as u32);
         // Past TTL with no stale window there is nothing to salvage.
@@ -106,7 +112,10 @@ fn stale_hit_counters_reconcile() {
     prop::check("stale counters", 80, 0xC0047, |g| {
         let ttl = g.range_u64(1, 10);
         let window = g.range_u64(2, 40);
-        let cache = RenderCache::with_stale_window(4, SEC * window as u32);
+        let cache = RenderCache::new(CacheConfig {
+            stale_window: SEC * window as u32,
+            ..CacheConfig::with_capacity(4)
+        });
         cache.put("k", "v", Some(SEC * ttl as u32), SEC);
         cache.advance_clock(SEC * (ttl + 1) as u32);
         let serves = g.range_u64(1, 8);

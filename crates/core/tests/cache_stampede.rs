@@ -5,7 +5,7 @@
 //! blocking forever. A final seeded schedule-exploration smoke varies
 //! thread arrival order to shake out interleaving-dependent bugs.
 
-use msite::cache::{Flight, RenderCache};
+use msite::cache::{CacheConfig, Flight, RenderCache};
 use msite_support::thread::{fan_out, staggered_fan_out};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +19,7 @@ const SEC: Duration = Duration::from_secs(1);
 #[test]
 fn stampede_collapses_to_one_produce() {
     const N: usize = 16;
-    let cache = RenderCache::new(64);
+    let cache = RenderCache::new(CacheConfig::with_capacity(64));
     let calls = AtomicUsize::new(0);
     let gate = Barrier::new(N);
 
@@ -52,7 +52,10 @@ fn stampede_collapses_to_one_produce() {
 /// entry from the stale window instead of blocking on the leader.
 #[test]
 fn expired_waiter_falls_back_to_stale() {
-    let cache = RenderCache::with_stale_window(8, SEC * 60);
+    let cache = RenderCache::new(CacheConfig {
+        stale_window: SEC * 60,
+        ..CacheConfig::with_capacity(8)
+    });
     cache.put("k", b"old".to_vec(), Some(SEC), SEC);
     cache.advance_clock(SEC * 10);
 
@@ -98,7 +101,7 @@ fn expired_waiter_falls_back_to_stale() {
 /// `TimedOut` rather than inventing output or blocking forever.
 #[test]
 fn expired_waiter_without_stale_entry_times_out() {
-    let cache = RenderCache::new(8);
+    let cache = RenderCache::new(CacheConfig::with_capacity(8));
     std::thread::scope(|s| {
         let leader = s.spawn(|| {
             let out = cache.render_flight::<&'static str>("cold", Some(SEC * 60), None, || {
@@ -132,7 +135,7 @@ fn leader_failure_propagates_to_waiters() {
     struct Boom;
 
     const N: usize = 4;
-    let cache = RenderCache::new(8);
+    let cache = RenderCache::new(CacheConfig::with_capacity(8));
     let calls = AtomicUsize::new(0);
     let gate = Barrier::new(N);
 
@@ -166,7 +169,7 @@ fn leader_failure_propagates_to_waiters() {
 #[test]
 fn abandoned_flight_recovers() {
     const N: usize = 4;
-    let cache = RenderCache::new(8);
+    let cache = RenderCache::new(CacheConfig::with_capacity(8));
     let calls = AtomicUsize::new(0);
     let gate = Barrier::new(N);
 
@@ -205,7 +208,7 @@ fn abandoned_flight_recovers() {
 fn schedule_exploration_smoke() {
     const WORKERS: usize = 8;
     for seed in 0..24u64 {
-        let cache = RenderCache::new(64);
+        let cache = RenderCache::new(CacheConfig::with_capacity(64));
         let produced = AtomicUsize::new(0);
         let values = staggered_fan_out(WORKERS, seed, Duration::from_millis(2), |i| {
             let key = format!("k{}", i % 2);

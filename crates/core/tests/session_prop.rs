@@ -17,12 +17,14 @@
 
 use msite::{SessionFs, SessionStore, SessionStoreConfig};
 use msite_support::prop;
+use msite_support::telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn store(config: SessionStoreConfig) -> (Arc<SessionFs>, SessionStore) {
-    let fs = Arc::new(SessionFs::new());
-    let st = SessionStore::new(config, Arc::clone(&fs));
+    let fs = Arc::new(SessionFs::new(&MetricsRegistry::new()));
+    let st = SessionStore::new(config, Arc::clone(&fs), Default::default());
     (fs, st)
 }
 
@@ -354,4 +356,52 @@ fn multi_shard_eviction_is_global_lru() {
             lru.push(hot.clone());
         }
     });
+}
+
+/// The `msite_session_*` gauges move with the store itself: after LRU
+/// and TTL evictions they equal the store's own counts with no request
+/// or scrape in between (the health monitor reads these gauges).
+#[test]
+fn live_gauges_track_evictions_without_a_scrape() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let fs = Arc::new(SessionFs::new(&registry));
+    let store = SessionStore::new(
+        SessionStoreConfig {
+            max_sessions: 4,
+            session_ttl: Some(Duration::from_secs(60)),
+            ..SessionStoreConfig::default()
+        },
+        Arc::clone(&fs),
+        Arc::clone(&registry),
+    );
+    let agree = |expected: u64| {
+        let live = registry.gauge_value("msite_session_live", &[]);
+        let tenant = registry.gauge_value("msite_session_tenant_live", &[("tenant", "t")]);
+        assert_eq!(store.stats().live, expected);
+        assert_eq!(store.len() as u64, expected);
+        assert_eq!(live, expected as i64);
+        assert_eq!(tenant, store.tenant_live("t") as i64);
+        assert_eq!(
+            registry.gauge_value("msite_session_fs_bytes", &[]),
+            fs.session_bytes() as i64
+        );
+    };
+
+    // Six creates against a bound of four: two LRU evictions.
+    let ids: Vec<String> = (0..6)
+        .map(|_| store.create("t").lock().id.clone())
+        .collect();
+    fs.write(&SessionFs::user_path(&ids[5], "s/a.html"), b"abc".to_vec());
+    assert_eq!(store.stats().evicted_lru, 2);
+    agree(4);
+
+    // TTL: a touch past the idle timeout removes one session, the sweep
+    // the rest.
+    store.advance_clock(Duration::from_secs(61));
+    assert!(store.get(&ids[5], "t").is_none());
+    assert_eq!(store.stats().evicted_expired, 1);
+    agree(3);
+    assert_eq!(store.sweep_expired(), 3);
+    agree(0);
+    assert_eq!(store.stats().evicted_expired, 4);
 }

@@ -177,7 +177,7 @@ fn proxy_metric_agrees_with_eviction_accounting() {
         assert!(entry.status.is_success(), "round {round}: {}", entry.status);
     }
 
-    // Scrape so the registry folds the tier's counters in.
+    // The scrape renders the counters the tier bumps itself.
     let metrics = proxy.handle(&Request::get("http://p/metrics").unwrap());
     assert!(metrics.status.is_success());
     let stats = proxy.subtree_cache().stats();

@@ -52,12 +52,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Connection-level counters for one [`HttpServer`]. Since the
-/// telemetry refactor this is a *view*: every field is read back from
-/// the server's metrics registry (`msite_server_*` series), so the
-/// numbers an embedder folds into its own stats and the numbers a
-/// `/metrics` scrape reports are the same counters — worker panics and
-/// overload sheds included, with no per-embedder folding required.
+/// Connection-level counters for one [`HttpServer`], read back from
+/// the server's metrics registry (`msite_server_*` series): these and a
+/// `/metrics` scrape report the same counters, worker panics and
+/// overload sheds included. A proxy sharing the server's registry reads
+/// the same shed counter as `ProxyStats::overload_rejections`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted off the listener.
@@ -115,7 +114,7 @@ struct ServerShared {
 /// Counts a worker panic on drop unless disarmed: moved into each
 /// connection job, it unwinds with the panic (the pool isolates the
 /// panic, so the worker itself survives) and increments the registry
-/// counter eagerly — no embedder-side folding needed.
+/// counter eagerly.
 struct PanicProbe {
     counter: Arc<Counter>,
     armed: bool,

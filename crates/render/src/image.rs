@@ -16,6 +16,7 @@ use crate::canvas::Canvas;
 use crate::geom::Rect;
 use crate::png;
 use std::borrow::Cow;
+use std::time::{Duration, Instant};
 
 /// Output format of the post-processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,8 @@ pub struct ProcessedImage {
     pub wire_size: usize,
     /// Format the artifact represents.
     pub format: ImageFormat,
+    /// Wall-clock time spent in [`png::encode`] for this artifact.
+    pub encode_time: Duration,
 }
 
 impl ProcessedImage {
@@ -179,17 +182,8 @@ fn run(canvas: &Canvas, spec: &PostProcess, scalar: bool) -> ProcessedImage {
         }
     }
     let mut work = work.into_owned();
-    match spec.format {
-        ImageFormat::Png => {
-            let encoded = png::encode(&work);
-            let wire_size = encoded.len();
-            ProcessedImage {
-                canvas: work,
-                encoded,
-                wire_size,
-                format: spec.format,
-            }
-        }
+    let modeled_size = match spec.format {
+        ImageFormat::Png => None,
         ImageFormat::JpegClass { quality } => {
             let quality = quality.clamp(1, 100);
             // Quantization levels track quality: q=100 -> 256 levels,
@@ -200,15 +194,18 @@ fn run(canvas: &Canvas, spec: &PostProcess, scalar: bool) -> ProcessedImage {
             } else {
                 work.quantize(levels);
             }
-            let wire_size = jpeg_size_model(&work, quality);
-            let encoded = png::encode(&work);
-            ProcessedImage {
-                canvas: work,
-                encoded,
-                wire_size,
-                format: spec.format,
-            }
+            Some(jpeg_size_model(&work, quality))
         }
+    };
+    let started = Instant::now();
+    let encoded = png::encode(&work);
+    let encode_time = started.elapsed();
+    ProcessedImage {
+        wire_size: modeled_size.unwrap_or(encoded.len()),
+        canvas: work,
+        encoded,
+        format: spec.format,
+        encode_time,
     }
 }
 

@@ -38,15 +38,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Fold an externally-maintained *cumulative* total into this
-    /// counter: the counter becomes `max(current, n)`. Idempotent —
-    /// folding the same total twice does not double-count — which is
-    /// exactly what a periodic "copy the server's lifetime totals into
-    /// the proxy's registry" sync needs.
-    pub fn fold_to(&self, n: u64) {
-        self.value.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -522,18 +513,6 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         assert_eq!(reg.series_count(), 1);
-    }
-
-    #[test]
-    fn fold_to_is_idempotent_and_monotonic() {
-        let c = Counter::default();
-        c.fold_to(3);
-        c.fold_to(3);
-        assert_eq!(c.get(), 3);
-        c.fold_to(7);
-        assert_eq!(c.get(), 7);
-        c.fold_to(5);
-        assert_eq!(c.get(), 7);
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //!   per request via `GET /trace/<id>`.
 //!
 //! The [`Telemetry`] handle bundles one registry with one trace log so
-//! a proxy, its HTTP server, and its resilience layer can publish into
-//! the same place — the existing stat structs (`ProxyStats`,
-//! `ServerStats`, `ResilienceStats`) become *views* over the registry,
-//! so counters can no longer drift apart.
+//! a proxy, its HTTP server, its caches, session store and resilience
+//! layer all publish into the same place. The registry is the only
+//! counter store: components bump their interned handles directly, and
+//! their stat structs (`ProxyStats`, `ServerStats`, `CacheStats`,
+//! `SessionStoreStats`, `ResilienceStats`, ...) are *views* over it, so
+//! counters can no longer drift apart.
 //!
 //! ```
 //! use msite_support::telemetry::Telemetry;

@@ -54,6 +54,9 @@ cargo test -q --offline -p msite-support --test worker_pool_prop
 echo "== telemetry suite (registry, tracing, exposition) =="
 cargo test -q --offline -p msite-support --test telemetry_prop
 cargo test -q --offline -p msite-support --test metrics_golden
+cargo test -q --offline --test proxy_e2e shared_registry_sums_both_proxies_cache_counters
+cargo test -q --offline --test proxy_e2e idle_proxy_scrapes_zero_parser_and_png_work
+cargo test -q --offline -p msite --test session_prop live_gauges_track_evictions_without_a_scrape
 
 echo "== end-to-end proxy conformance (metrics, traces, headers) =="
 cargo test -q --offline --test proxy_e2e

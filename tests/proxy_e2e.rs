@@ -251,12 +251,12 @@ fn entry_flow_reports_trace_and_exact_metrics() {
     assert_eq!(sample(&samples, "msite_proxy_request_micros_count"), 2);
     assert_eq!(sample(&samples, "msite_session_live"), 1);
     assert!(sample(&samples, "msite_server_served_total") >= 3);
-    // The SWAR hot-path counters are process-wide and folded in at
-    // scrape time: one origin fetch means the tokenizer chewed real
-    // bytes, and the snapshot path clocked at least one PNG encode.
+    // The parser and PNG totals count this proxy's pipeline work: one
+    // origin fetch means the tokenizer chewed real bytes, and a spec
+    // without a snapshot or pre-render encodes no PNG.
     assert!(sample(&samples, "msite_tokenizer_bytes_total") > 0);
-    assert!(sample(&samples, "msite_png_encodes_total") > 0);
-    assert!(sample(&samples, "msite_png_encode_micros") > 0);
+    assert_eq!(sample(&samples, "msite_png_encodes_total"), 0);
+    assert_eq!(sample(&samples, "msite_png_encode_micros"), 0);
     // Scrapes themselves must not perturb proxy/cache counters (server
     // connection counters legitimately move — the scrape is a request).
     let again = stack.scrape();
@@ -281,6 +281,85 @@ fn entry_flow_reports_trace_and_exact_metrics() {
     assert!(health.headers.get(DEGRADED_HEADER).is_none());
     assert!(health.headers.get(ERROR_HEADER).is_none());
     stack.down();
+}
+
+// --- Shared registry: two proxies' caches add up in one scrape ---
+
+#[test]
+fn shared_registry_sums_both_proxies_cache_counters() {
+    // Two tenants on one telemetry handle, as the capacity harness
+    // deploys them; each proxy serves one cold and one warm entry.
+    let telemetry = Telemetry::new();
+    let stacks: Vec<Stack> = ["one.test", "two.test"]
+        .iter()
+        .map(|host| {
+            Stack::up(
+                spec_for(&format!("http://{host}/"), false),
+                healthy_page(),
+                ProxyConfig {
+                    telemetry: Some(telemetry.clone()),
+                    ..fast_config()
+                },
+            )
+        })
+        .collect();
+    for stack in &stacks {
+        let cold = http_get(&stack.url("/m/t/")).unwrap();
+        assert!(cold.status.is_success());
+        let warm = get_with_cookie(&stack.url("/m/t/"), &cookie_of(&cold));
+        assert!(warm.status.is_success());
+    }
+
+    // The scrape counts both proxies' lookups: 2 hits and 2 misses,
+    // not the larger of two per-cache tallies.
+    let samples = stacks[0].scrape();
+    assert_eq!(sample(&samples, "msite_cache_hits_total"), 2);
+    assert_eq!(sample(&samples, "msite_cache_misses_total"), 2);
+    assert_eq!(sample(&samples, "msite_session_live"), 2);
+    // One counter store: each cache's stats read the series the scrape
+    // renders.
+    for stack in &stacks {
+        let stats = stack.proxy.cache().stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (2, 2),
+            "stats() and the scrape must read the same counters"
+        );
+    }
+    for stack in stacks {
+        stack.down();
+    }
+}
+
+// --- Per-proxy work totals: another proxy's renders stay its own ---
+
+#[test]
+fn idle_proxy_scrapes_zero_parser_and_png_work() {
+    // A busy proxy renders snapshots in the same process...
+    let busy = Stack::up(
+        spec_for("http://busy.test/", true),
+        healthy_page(),
+        fast_config(),
+    );
+    let idle = Stack::up(
+        spec_for("http://idle.test/", true),
+        healthy_page(),
+        fast_config(),
+    );
+    let entry = http_get(&busy.url("/m/t/")).unwrap();
+    assert!(entry.status.is_success());
+    let busy_samples = busy.scrape();
+    assert!(sample(&busy_samples, "msite_tokenizer_bytes_total") > 0);
+    assert!(sample(&busy_samples, "msite_png_encodes_total") > 0);
+
+    // ...while one on its own telemetry that has served nothing
+    // reports none of that work.
+    let samples = idle.scrape();
+    assert_eq!(sample(&samples, "msite_tokenizer_bytes_total"), 0);
+    assert_eq!(sample(&samples, "msite_png_encodes_total"), 0);
+    assert_eq!(sample(&samples, "msite_png_encode_micros"), 0);
+    busy.down();
+    idle.down();
 }
 
 // --- Scenario 2: cold stampede over TCP coalesces exactly ---
